@@ -110,8 +110,68 @@ impl HitsAllocator {
     /// Returns `(per-slot allocated flags, assignments)`; the flags feed
     /// [`super::hits_buffer::HitsBuffer::complete_round`].
     pub fn allocate(&self, batch: &[Hit], idle: &mut Vec<IdleEu>) -> (Vec<bool>, Vec<Assignment>) {
+        let classes = self.class_pes.len();
+        let mut idle_class: Vec<usize> = idle.iter().map(|u| self.class_of_pes(u.pes)).collect();
+        let mut idle_per_class = vec![0usize; classes];
+        for &c in &idle_class {
+            idle_per_class[c] += 1;
+        }
+        // Idle units only get fewer within a round, so a hit with no
+        // permitted idle class now is never placed: leave it out up front.
+        let open: Vec<bool> = (0..classes)
+            .map(|cls| (0..classes).any(|u| idle_per_class[u] > 0 && self.permits(cls, u)))
+            .collect();
         // Steps ②–③: compute lengths and sort (longest first, so large
         // units are claimed by the hits that need them).
+        let mut order: Vec<(usize, usize)> = batch
+            .iter()
+            .map(|h| self.class_of_len(h.hit_len()))
+            .enumerate()
+            .filter(|&(_, cls)| open[cls])
+            .collect();
+        order.sort_by(|&(a, _), &(b, _)| batch[b].hit_len().cmp(&batch[a].hit_len()));
+
+        // Per class: the current hit's fill latency on it, or `None` when
+        // the policy forbids it or none of its units is idle.
+        let mut fill = vec![None; classes];
+        let mut allocated = vec![false; batch.len()];
+        let mut assignments = Vec::new();
+        for (slot, cls) in order {
+            if idle.is_empty() {
+                break;
+            }
+            let hit = &batch[slot];
+            for (unit_cls, f) in fill.iter_mut().enumerate() {
+                *f = (idle_per_class[unit_cls] > 0 && self.permits(cls, unit_cls)).then(|| {
+                    matrix_fill_latency(
+                        hit.ref_len.max(1) as u64,
+                        hit.query_len.max(1) as u64,
+                        self.class_pes[unit_cls],
+                    )
+                });
+            }
+            // Steps ④–⑥: the first idle unit with the least fill latency.
+            let Some(best) = fill.iter().flatten().min().copied() else {
+                continue;
+            };
+            let i = idle_class
+                .iter()
+                .position(|&c| fill[c] == Some(best))
+                .expect("the best class has an idle unit");
+            idle_per_class[idle_class.swap_remove(i)] -= 1;
+            allocated[slot] = true;
+            assignments.push(Assignment {
+                batch_slot: slot,
+                unit: idle.swap_remove(i),
+            });
+        }
+        (allocated, assignments)
+    }
+
+    /// The per-(hit, unit) scan [`HitsAllocator::allocate`] replaced, kept
+    /// as its differential oracle.
+    #[cfg(test)]
+    fn allocate_scan(&self, batch: &[Hit], idle: &mut Vec<IdleEu>) -> (Vec<bool>, Vec<Assignment>) {
         let mut order: Vec<usize> = (0..batch.len()).collect();
         order.sort_by(|&a, &b| batch[b].hit_len().cmp(&batch[a].hit_len()));
 
@@ -120,11 +180,10 @@ impl HitsAllocator {
         for slot in order {
             let len = batch[slot].hit_len();
             let cls = self.class_of_len(len);
-            // Steps ④–⑥: find the best idle unit permitted by the policy.
             let candidate = idle
                 .iter()
                 .enumerate()
-                .filter(|(_, u)| self.permits(cls, u.pes))
+                .filter(|(_, u)| self.permits(cls, self.class_of_pes(u.pes)))
                 .min_by_key(|(_, u)| {
                     matrix_fill_latency(
                         batch[slot].ref_len.max(1) as u64,
@@ -145,9 +204,8 @@ impl HitsAllocator {
         (allocated, assignments)
     }
 
-    /// Whether a hit of class `cls` may run on a unit of `pes` PEs.
-    fn permits(&self, cls: usize, pes: u32) -> bool {
-        let unit_cls = self.class_of_pes(pes);
+    /// Whether a hit of class `cls` may run on a unit of class `unit_cls`.
+    fn permits(&self, cls: usize, unit_cls: usize) -> bool {
         match self.policy {
             AllocPolicy::GroupedGreedy => self.group_of_class[cls] == self.group_of_class[unit_cls],
             AllocPolicy::StrictPerClass => cls == unit_cls,
@@ -364,6 +422,61 @@ mod tests {
         };
         assert_eq!(unit_for(1), 128);
         assert_eq!(unit_for(0), 64);
+    }
+
+    #[test]
+    fn allocate_matches_the_per_unit_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let classes = paper_classes();
+        let units: Vec<IdleEu> = classes
+            .iter()
+            .flat_map(|c| std::iter::repeat_n(c.pes, c.count as usize))
+            .enumerate()
+            .map(|(unit_idx, pes)| IdleEu { unit_idx, pes })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0xa110c);
+        for policy in [
+            AllocPolicy::GroupedGreedy,
+            AllocPolicy::StrictPerClass,
+            AllocPolicy::FullyShared,
+        ] {
+            let a = HitsAllocator::new(&classes, policy);
+            for round in 0..2_000 {
+                let batch: Vec<Hit> = (0..rng.gen_range(0..40usize))
+                    .map(|_| {
+                        let len = rng.gen_range(0..200u32);
+                        Hit {
+                            query_len: rng.gen_range(0..200u32),
+                            // Short references make cross-class latency
+                            // ties, exercising the first-minimum rule.
+                            ref_len: if rng.gen_bool(0.3) {
+                                rng.gen_range(0..4u32)
+                            } else {
+                                rng.gen_range(0..400u32)
+                            },
+                            ..hit(len)
+                        }
+                    })
+                    .collect();
+                let mut idle: Vec<IdleEu> = units
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.4))
+                    .collect();
+                for i in (1..idle.len()).rev() {
+                    idle.swap(i, rng.gen_range(0..=i));
+                }
+                let mut oracle_idle = idle.clone();
+                assert_eq!(
+                    a.allocate(&batch, &mut idle),
+                    a.allocate_scan(&batch, &mut oracle_idle),
+                    "{policy:?} round {round}"
+                );
+                assert_eq!(idle, oracle_idle, "{policy:?} round {round}");
+            }
+        }
     }
 
     #[test]

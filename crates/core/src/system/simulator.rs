@@ -137,6 +137,9 @@ struct SimState<'w> {
     events: EventQueue<Event>,
     // Seeding side.
     su_busy: Vec<bool>,
+    /// SUs holding a read (seeding or suspended), and those suspended.
+    su_busy_count: u32,
+    su_suspended: u32,
     su_read: Vec<Option<usize>>,
     su_stalled: Vec<Option<Vec<Hit>>>,
     next_read: u64,
@@ -147,6 +150,7 @@ struct SimState<'w> {
     hbm: Hbm,
     // Extension side.
     eus: Vec<EuState>,
+    eu_busy_count: u32,
     traceback: Cycle,
     path: HitPath,
     // Telemetry.
@@ -232,6 +236,8 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
         now: 0,
         events: EventQueue::new(),
         su_busy: vec![false; config.su_count as usize],
+        su_busy_count: 0,
+        su_suspended: 0,
         su_read: vec![None; config.su_count as usize],
         su_stalled: vec![None; config.su_count as usize],
         next_read: 0,
@@ -241,6 +247,7 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
         read_spm: ReadSpm::for_su_pool(config.su_count),
         hbm: Hbm::new(config.hbm),
         eus,
+        eu_busy_count: 0,
         traceback: config.traceback_cycles,
         path,
         metrics,
@@ -281,19 +288,8 @@ pub fn simulate_instrumented(config: &NvwaConfig, works: &[ReadWork], opts: &Sim
 }
 
 impl SimState<'_> {
-    /// SUs actively seeding (busy and not suspended on a full buffer).
-    fn running_su_count(&self) -> u32 {
-        self.su_busy
-            .iter()
-            .zip(&self.su_stalled)
-            .filter(|(&b, s)| b && s.is_none())
-            .count() as u32
-    }
-
     fn seeding_finished(&self) -> bool {
-        self.next_read as usize >= self.works.len()
-            && self.su_busy.iter().all(|&b| !b)
-            && self.su_stalled.iter().all(|s| s.is_none())
+        self.next_read as usize >= self.works.len() && self.su_busy_count == 0
     }
 
     /// Why every currently idle EU is idle: hits waiting but undispatched
@@ -329,9 +325,18 @@ impl SimState<'_> {
     /// status only changes at event boundaries, so intra-event states are
     /// zero-length and integrating the post-event state is exact.
     fn sync_stats(&mut self) {
-        let running = self.running_su_count();
-        let suspended = self.su_stalled.iter().filter(|s| s.is_some()).count() as u32;
-        let idle = self.config.su_count - running - suspended;
+        debug_assert_eq!(
+            (self.su_busy_count, self.su_suspended, self.eu_busy_count),
+            (
+                self.su_busy.iter().filter(|&&b| b).count() as u32,
+                self.su_stalled.iter().filter(|s| s.is_some()).count() as u32,
+                self.eus.iter().filter(|e| e.busy).count() as u32,
+            ),
+            "unit counts drifted from unit state"
+        );
+        let suspended = self.su_suspended;
+        let running = self.su_busy_count - suspended;
+        let idle = self.config.su_count - self.su_busy_count;
         let idle_cause = if (self.next_read as usize) < self.works.len() {
             // Reads remain but the scheduler has not issued one: the
             // Read-in-Batch barrier (OCRA refills every idle SU, so this
@@ -347,7 +352,7 @@ impl SimState<'_> {
                 .with_idle(idle_cause, idle),
         );
 
-        let eu_busy = self.eus.iter().filter(|e| e.busy).count() as u32;
+        let eu_busy = self.eu_busy_count;
         let eu_idle = self.eus.len() as u32 - eu_busy;
         let eu_cause = self.eu_idle_cause();
         self.eu_stall.set_state(
@@ -366,17 +371,12 @@ impl SimState<'_> {
         if remaining == 0 {
             return;
         }
-        // A stalled SU is not schedulable: report it busy.
-        let busy: Vec<bool> = self
-            .su_busy
-            .iter()
-            .zip(&self.su_stalled)
-            .map(|(&b, s)| b || s.is_some())
-            .collect();
+        // A stalled SU still holds its read, so it stays busy.
         let (assigned, new_next) = if self.config.scheduling.ocra {
-            self.ocra.allocate(&busy, self.next_read, remaining)
+            self.ocra.allocate(&self.su_busy, self.next_read, remaining)
         } else {
-            self.batch.allocate(&busy, self.next_read, remaining)
+            self.batch
+                .allocate(&self.su_busy, self.next_read, remaining)
         };
         let offset_before = self.next_read;
         self.next_read = new_next;
@@ -391,16 +391,10 @@ impl SimState<'_> {
                 .seeding_latency(start, work, &mut self.hbm)
                 .max(self.now + 1);
             self.su_busy[su] = true;
+            self.su_busy_count += 1;
             self.su_read[su] = Some(read_idx as usize);
             self.su_issued_at[su] = self.now;
             self.metrics.inc(self.ids.reads_issued, 1);
-            if std::env::var("NVWA_DEBUG").is_ok() {
-                eprintln!(
-                    "su={su} read={read_idx} now={} start={start} done={done} lat={}",
-                    self.now,
-                    done - self.now
-                );
-            }
             self.events.push(done, Event::SuDone { su });
         }
     }
@@ -419,36 +413,36 @@ impl SimState<'_> {
                 &[("read", read_idx as f64)],
             );
         }
-        let hits: Vec<Hit> = self.works[read_idx].hits.clone();
-        self.finish_or_stall(su, hits);
+        let works = self.works;
+        self.finish_or_stall(su, &works[read_idx].hits);
+    }
+
+    /// Whether the hit path has room for another hit.
+    fn accepts_hit(&self) -> bool {
+        match &self.path {
+            HitPath::Coordinator { buffer, .. } => buffer.store_len() < buffer.depth(),
+            HitPath::Fifo {
+                queue, capacity, ..
+            } => queue.len() < *capacity,
+        }
     }
 
     /// Pushes a SU's hits toward the extension side; suspends the SU when
     /// the buffer is full (the blocking state of Fig. 13a).
-    fn finish_or_stall(&mut self, su: usize, hits: Vec<Hit>) {
-        let mut pending = hits;
-        while let Some(hit) = pending.first().copied() {
-            let accepted = match &mut self.path {
-                HitPath::Coordinator { buffer, .. } => buffer.push(hit).is_ok(),
-                HitPath::Fifo {
-                    queue, capacity, ..
-                } => {
-                    if queue.len() < *capacity {
-                        queue.push_back(hit);
-                        true
-                    } else {
-                        false
-                    }
+    fn finish_or_stall(&mut self, su: usize, hits: &[Hit]) {
+        let mut pushed = 0;
+        while pushed < hits.len() && self.accepts_hit() {
+            match &mut self.path {
+                HitPath::Coordinator { buffer, .. } => {
+                    buffer.push(hits[pushed]).expect("store buffer has room");
                 }
-            };
-            if accepted {
-                pending.remove(0);
-            } else {
-                break;
+                HitPath::Fifo { queue, .. } => queue.push_back(hits[pushed]),
             }
+            pushed += 1;
         }
-        if pending.is_empty() {
+        if pushed == hits.len() {
             if let Some(since) = self.su_stall_since[su].take() {
+                self.su_suspended -= 1;
                 if let Some(rec) = &mut self.trace {
                     rec.complete(
                         PID_ACCELERATOR,
@@ -461,22 +455,25 @@ impl SimState<'_> {
             }
             self.su_stalled[su] = None;
             self.su_busy[su] = false;
+            self.su_busy_count -= 1;
             self.su_read[su] = None;
             self.schedule_reads();
         } else {
-            if self.su_stalled[su].is_none() {
+            if self.su_stall_since[su].is_none() {
                 self.metrics.inc(self.ids.stall_events, 1);
                 self.su_stall_since[su] = Some(self.now);
+                self.su_suspended += 1;
             }
             // A suspended SU holds its read but is not doing useful work:
             // it counts as unutilized (the paper's Fig. 13a "suspending
             // state").
-            self.su_stalled[su] = Some(pending);
+            self.su_stalled[su] = Some(hits[pushed..].to_vec());
         }
     }
 
     fn on_eu_done(&mut self, eu: usize) {
         self.eus[eu].busy = false;
+        self.eu_busy_count -= 1;
         if let Some((issued, hit_len)) = self.eu_issued[eu].take() {
             self.metrics.observe(self.ids.hit_cycles, self.now - issued);
             if let Some(rec) = &mut self.trace {
@@ -506,7 +503,7 @@ impl SimState<'_> {
         else {
             unreachable!("AllocDone only fires on the Coordinator path");
         };
-        let batch = buffer.peek_batch(self.config.alloc_batch_size).to_vec();
+        let batch = buffer.peek_batch(self.config.alloc_batch_size);
         let mut idle: Vec<IdleEu> = self
             .eus
             .iter()
@@ -517,7 +514,11 @@ impl SimState<'_> {
                 pes: e.pes,
             })
             .collect();
-        let (flags, assignments) = allocator.allocate(&batch, &mut idle);
+        let (flags, assignments) = allocator.allocate(batch, &mut idle);
+        let dispatches: Vec<(usize, Hit)> = assignments
+            .iter()
+            .map(|a| (a.unit.unit_idx, batch[a.batch_slot]))
+            .collect();
         let stats = buffer.complete_round(&flags);
         judger.complete();
         self.metrics.inc(self.ids.alloc_rounds, 1);
@@ -543,10 +544,6 @@ impl SimState<'_> {
                 ],
             );
         }
-        let dispatches: Vec<(usize, Hit)> = assignments
-            .iter()
-            .map(|a| (a.unit.unit_idx, batch[a.batch_slot]))
-            .collect();
         for (unit_idx, hit) in dispatches {
             self.dispatch(unit_idx, &hit);
         }
@@ -557,6 +554,7 @@ impl SimState<'_> {
         let eu = &mut self.eus[unit_idx];
         debug_assert!(!eu.busy, "dispatch to a busy EU");
         eu.busy = true;
+        self.eu_busy_count += 1;
         let model = EuModel::with_algorithm(eu.pes, self.traceback, self.config.eu_algorithm);
         let done = self.now + model.task_latency(hit);
         let class_idx = eu.class_idx;
@@ -588,12 +586,7 @@ impl SimState<'_> {
     /// Buffer switch: threshold reached, or forced when the producers are
     /// done (or every active SU is suspended on a full Store Buffer).
     fn try_switch(&mut self, draining: bool) -> bool {
-        let all_stalled = self.su_stalled.iter().any(|s| s.is_some())
-            && self
-                .su_stalled
-                .iter()
-                .zip(&self.su_busy)
-                .all(|(s, &b)| s.is_some() || !b);
+        let all_stalled = self.su_suspended > 0 && self.su_suspended == self.su_busy_count;
         let coordinator_tid = self.config.su_count + self.eus.len() as u32;
         let HitPath::Coordinator {
             buffer, blocked, ..
@@ -620,8 +613,8 @@ impl SimState<'_> {
 
     /// Allocate Trigger → Judger → scheduled round.
     fn try_trigger(&mut self, draining: bool) -> bool {
-        let idle = self.eus.iter().filter(|e| !e.busy).count();
         let total = self.eus.len();
+        let idle = total - self.eu_busy_count as usize;
         let HitPath::Coordinator {
             buffer,
             judger,
@@ -689,14 +682,12 @@ impl SimState<'_> {
     fn resume_stalled(&mut self) -> bool {
         let mut progressed = false;
         for su in 0..self.su_stalled.len() {
+            if self.su_suspended == 0 || !self.accepts_hit() {
+                break;
+            }
             if let Some(pending) = self.su_stalled[su].take() {
-                // Re-install before retrying so finish_or_stall does not
-                // count a fresh stall event.
-                self.su_stalled[su] = Some(pending.clone());
-                self.finish_or_stall(su, pending);
-                if self.su_stalled[su].is_none() {
-                    progressed = true;
-                }
+                self.finish_or_stall(su, &pending);
+                progressed |= self.su_stalled[su].is_none();
             }
         }
         progressed

@@ -101,6 +101,16 @@ impl FlightEvent {
     }
 }
 
+/// One consistent view of the ring: the claim counter read once, the
+/// events claimed below it that are still in the ring, and how many of the
+/// newest `min(recorded, cap)` claims are not (yet) visible — claimed but
+/// not written, or lost to a wrapped newer claim.
+struct Cut {
+    recorded: u64,
+    events: Vec<FlightEvent>,
+    pending: u64,
+}
+
 /// The fixed-capacity event ring.
 pub struct FlightRecorder {
     slots: Vec<Mutex<Option<FlightEvent>>>,
@@ -151,13 +161,27 @@ impl FlightRecorder {
 
     /// The retained events, oldest first (sorted by sequence number).
     pub fn events(&self) -> Vec<FlightEvent> {
+        self.cut().events
+    }
+
+    /// Reads the claim counter once and keeps only the slots holding one
+    /// of the newest `min(recorded, cap)` claims below it, so a snapshot
+    /// of a live ring satisfies `events + pending == min(recorded, cap)`.
+    fn cut(&self) -> Cut {
+        let recorded = self.recorded();
+        let window = recorded.min(self.cap() as u64);
         let mut events: Vec<FlightEvent> = self
             .slots
             .iter()
             .filter_map(|s| *s.lock().unwrap())
+            .filter(|e| (recorded - window..recorded).contains(&e.seq))
             .collect();
         events.sort_by_key(|e| e.seq);
-        events
+        Cut {
+            recorded,
+            pending: window - events.len() as u64,
+            events,
+        }
     }
 
     /// Per-kind counts over `events`, index-aligned with
@@ -173,8 +197,8 @@ impl FlightRecorder {
     /// The summary section embedded in `stats` responses
     /// (`validate_flight_summary` checks it).
     pub fn summary_json(&self) -> JsonValue {
-        let events = self.events();
-        let counts = Self::kind_counts(&events);
+        let cut = self.cut();
+        let counts = Self::kind_counts(&cut.events);
         let by_kind = FLIGHT_EVENT_KINDS
             .iter()
             .zip(counts)
@@ -182,8 +206,9 @@ impl FlightRecorder {
             .collect();
         JsonValue::obj(vec![
             ("cap", JsonValue::Num(self.cap() as f64)),
-            ("recorded", JsonValue::Num(self.recorded() as f64)),
-            ("retained", JsonValue::Num(events.len() as f64)),
+            ("recorded", JsonValue::Num(cut.recorded as f64)),
+            ("retained", JsonValue::Num(cut.events.len() as f64)),
+            ("pending", JsonValue::Num(cut.pending as f64)),
             (
                 "dumps",
                 JsonValue::Num(self.dumps.load(Ordering::Relaxed) as f64),
@@ -207,7 +232,11 @@ impl FlightRecorder {
     pub fn dump_json(&self, reason: &str) -> JsonValue {
         self.dumps.fetch_add(1, Ordering::Relaxed);
         *self.last_dump_reason.lock().unwrap() = Some(reason.to_string());
-        let events = self.events();
+        let Cut {
+            recorded,
+            events,
+            pending,
+        } = self.cut();
         let counts = Self::kind_counts(&events);
         let mut panic_batches: Vec<u64> = events
             .iter()
@@ -234,7 +263,8 @@ impl FlightRecorder {
             ("schema_version", JsonValue::Num(1.0)),
             ("reason", JsonValue::Str(reason.to_string())),
             ("cap", JsonValue::Num(self.cap() as f64)),
-            ("recorded", JsonValue::Num(self.recorded() as f64)),
+            ("recorded", JsonValue::Num(recorded as f64)),
+            ("pending", JsonValue::Num(pending as f64)),
             (
                 "events",
                 JsonValue::Arr(events.into_iter().map(FlightEvent::to_json).collect()),
@@ -306,6 +336,37 @@ mod tests {
             rec.dump_json("explicit").to_string_compact()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn claimed_but_unwritten_slots_are_pending() {
+        // A claim whose payload write has not landed yet leaves its slot
+        // empty, or, once the ring has wrapped, still holding the event it
+        // is about to evict. The cut counts both as pending and keeps the
+        // stale event out.
+        let rec = FlightRecorder::new(4);
+        let claim = |rec: &FlightRecorder| rec.next_seq.fetch_add(1, Ordering::Relaxed);
+        let check = |rec: &FlightRecorder, retained: f64, pending: f64| {
+            let summary = rec.summary_json();
+            validate_flight_summary(&summary).unwrap();
+            assert_eq!(summary.get("retained").unwrap().as_num(), Some(retained));
+            assert_eq!(summary.get("pending").unwrap().as_num(), Some(pending));
+            let dump = rec.dump_json("explicit");
+            validate_flight_dump(&dump).unwrap();
+            assert_eq!(dump.get("pending").unwrap().as_num(), Some(pending));
+        };
+        rec.record(0.0, FlightEventKind::Admit, 0, 0, 1);
+        claim(&rec); // seq 1
+        check(&rec, 1.0, 1.0);
+        rec.record(2.0, FlightEventKind::Admit, 2, 0, 1);
+        rec.record(3.0, FlightEventKind::Admit, 3, 0, 1);
+        check(&rec, 3.0, 1.0);
+        claim(&rec); // seq 4: slot 0 still holds the evicted seq 0
+        check(&rec, 2.0, 2.0);
+        assert_eq!(
+            rec.events().iter().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![2, 3]
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! in the power model. This module models exactly those: each channel is a
 //! FIFO server with a fixed service interval per 64-byte transaction.
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
 
 use crate::Cycle;
 
@@ -50,20 +50,77 @@ impl HbmConfig {
     }
 }
 
+/// Scheduling history older than this many cycles behind the newest
+/// booking is forgotten. Replayed chains span well under 10⁶ cycles, so a
+/// request is never timestamped this far behind one already booked.
+const HORIZON_CYCLES: u64 = 10_000_000;
+
 /// The HBM device state.
 ///
 /// Each channel serves one transaction per `service_interval` cycles; the
-/// schedule is kept as a set of occupied service *slots*, so a request
+/// schedule is kept as a bitmap of occupied service *slots*, so a request
 /// timestamped in the future never blocks earlier idle slots (requests are
 /// issued by replaying unit access chains, which interleave in wall-clock
 /// order only approximately).
 #[derive(Debug, Clone)]
 pub struct Hbm {
     config: HbmConfig,
-    occupied: Vec<HashSet<u64>>,
-    last_slot_seen: u64,
+    channels: Vec<SlotMap>,
+    newest_slot: u64,
     requests: u64,
     queue_delay_total: u64,
+}
+
+/// One channel's booked service slots: bit `i` of `words[w]` is slot
+/// `base + 64·w + i`. Words wholly behind the horizon are dropped from the
+/// front, so memory stays bounded on arbitrarily long runs.
+#[derive(Debug, Clone, Default)]
+struct SlotMap {
+    base: u64,
+    words: VecDeque<u64>,
+}
+
+impl SlotMap {
+    /// Books and returns the first free slot at or after `first`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` lies behind the retained window: its occupancy
+    /// has been forgotten, so no exact answer exists.
+    fn book(&mut self, first: u64) -> u64 {
+        assert!(
+            first >= self.base,
+            "HBM request at slot {first} is behind the retained schedule window (slot {})",
+            self.base
+        );
+        let offset = first - self.base;
+        let mut w = (offset / 64) as usize;
+        let mut free_mask = !0u64 << (offset % 64);
+        loop {
+            if w >= self.words.len() {
+                self.words.resize(w + 1, 0);
+            }
+            let free = !self.words[w] & free_mask;
+            if free != 0 {
+                let bit = free.trailing_zeros();
+                self.words[w] |= 1 << bit;
+                return self.base + w as u64 * 64 + u64::from(bit);
+            }
+            w += 1;
+            free_mask = !0;
+        }
+    }
+
+    /// Forgets every word whose slots all lie before `cutoff`.
+    fn forget_before(&mut self, cutoff: u64) {
+        while self.base + 64 <= cutoff {
+            if self.words.pop_front().is_none() {
+                self.base = cutoff / 64 * 64;
+                return;
+            }
+            self.base += 64;
+        }
+    }
 }
 
 impl Hbm {
@@ -79,9 +136,9 @@ impl Hbm {
             "service interval must be positive"
         );
         Hbm {
-            occupied: vec![HashSet::new(); config.channels],
+            channels: vec![SlotMap::default(); config.channels],
             config,
-            last_slot_seen: 0,
+            newest_slot: 0,
             requests: 0,
             queue_delay_total: 0,
         }
@@ -97,33 +154,27 @@ impl Hbm {
     ///
     /// The channel is selected by address interleaving; a busy channel
     /// queues the request (FIFO).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is so far (over 10⁷ cycles) behind the newest
+    /// booking that the schedule around it has been forgotten.
     pub fn request(&mut self, now: Cycle, addr: u64) -> Cycle {
-        let ch = (addr as usize) % self.config.channels;
         let service = self.config.service_interval;
+        let channel = &mut self.channels[(addr as usize) % self.config.channels];
         // First service slot whose start is not before `now`.
-        let mut slot = now.div_ceil(service);
-        while self.occupied[ch].contains(&slot) {
-            slot += 1;
-        }
-        self.occupied[ch].insert(slot);
-        self.last_slot_seen = self.last_slot_seen.max(slot);
+        let first = now.div_ceil(service);
+        channel.forget_before(
+            self.newest_slot
+                .max(first)
+                .saturating_sub(HORIZON_CYCLES / service),
+        );
+        let slot = channel.book(first);
+        self.newest_slot = self.newest_slot.max(slot);
         self.requests += 1;
         let start = slot * service;
         self.queue_delay_total += start - now;
-        self.prune(ch);
         start + self.config.latency
-    }
-
-    /// Drops schedule slots far in the past to bound memory. Replayed
-    /// chains span well under 10⁶ cycles, so slots more than ~10⁷ cycles
-    /// behind the newest booking can never be probed again.
-    fn prune(&mut self, ch: usize) {
-        if self.occupied[ch].len() > 1 << 17 {
-            let cutoff = self
-                .last_slot_seen
-                .saturating_sub(10_000_000 / self.config.service_interval.max(1));
-            self.occupied[ch].retain(|&s| s >= cutoff);
-        }
     }
 
     /// Total requests served.
@@ -178,6 +229,8 @@ impl Hbm {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -323,6 +376,109 @@ mod tests {
                 hbm.energy_joules()
             );
         }
+    }
+
+    /// The unpruned reference schedule: one ordered set of booked slots
+    /// per channel, probed one slot at a time.
+    struct NaiveHbm {
+        config: HbmConfig,
+        booked: Vec<BTreeSet<u64>>,
+        requests: u64,
+        queue_delay_total: u64,
+    }
+
+    impl NaiveHbm {
+        fn new(config: HbmConfig) -> NaiveHbm {
+            NaiveHbm {
+                booked: vec![BTreeSet::new(); config.channels],
+                config,
+                requests: 0,
+                queue_delay_total: 0,
+            }
+        }
+
+        fn request(&mut self, now: Cycle, addr: u64) -> Cycle {
+            let service = self.config.service_interval;
+            let booked = &mut self.booked[(addr as usize) % self.config.channels];
+            let mut slot = now.div_ceil(service);
+            while !booked.insert(slot) {
+                slot += 1;
+            }
+            self.requests += 1;
+            self.queue_delay_total += slot * service - now;
+            slot * service + self.config.latency
+        }
+    }
+
+    /// splitmix64: a seeded stream of test inputs.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Replays `n` requests with out-of-order timestamps through both
+    /// models; `hot` of every 256 requests go to channel 0, the rest are
+    /// spread over all channels. Returns channel 0's booking count.
+    fn assert_matches_naive(seed: u64, n: u64, hot: u64, cycles_per_request: u64) -> usize {
+        let config = HbmConfig::default();
+        let mut fast = Hbm::new(config);
+        let mut naive = NaiveHbm::new(config);
+        let mut rng = seed;
+        for i in 0..n {
+            let clock = i * cycles_per_request;
+            // Up to 2 048 cycles behind or ahead of the stream's clock.
+            let now = (clock + mix(&mut rng) % 4096).saturating_sub(2048);
+            let addr = if mix(&mut rng) % 256 < hot {
+                8 * (mix(&mut rng) % 1024)
+            } else {
+                mix(&mut rng) % (1 << 20)
+            };
+            assert_eq!(
+                fast.request(now, addr),
+                naive.request(now, addr),
+                "seed {seed}: request {i} (now {now}, addr {addr})"
+            );
+        }
+        assert_eq!(fast.requests(), naive.requests);
+        assert_eq!(fast.total_queue_delay(), naive.queue_delay_total);
+        naive.booked[0].len()
+    }
+
+    #[test]
+    fn bitmap_schedule_matches_unpruned_reference() {
+        // Channel 0 carries ~0.8 of its bandwidth and books past 2^17
+        // slots (where the old schedule started pruning).
+        let hot_bookings = assert_matches_naive(1, 360_000, 80, 1);
+        assert!(hot_bookings > 1 << 17, "{hot_bookings} channel-0 bookings");
+        // Uniform and saturated streams over all eight channels.
+        for seed in 2..5 {
+            assert_matches_naive(seed, 40_000, 0, 1);
+            assert_matches_naive(seed, 4_000, 0, 0);
+        }
+    }
+
+    #[test]
+    fn long_runs_keep_a_bounded_window() {
+        // 10⁸ cycles of sparse traffic: the schedule forgets words behind
+        // the horizon instead of growing, and still answers exactly.
+        assert_matches_naive(7, 100_000, 32, 1000);
+        let mut hbm = Hbm::new(HbmConfig::default());
+        for i in 0..100_000u64 {
+            let _ = hbm.request(i * 1000, i);
+        }
+        let window_words = (HORIZON_CYCLES / 2 / 64 + 2) as usize;
+        assert!(hbm.channels.iter().all(|c| c.words.len() <= window_words));
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the retained schedule window")]
+    fn probe_behind_the_window_panics() {
+        let mut hbm = Hbm::new(HbmConfig::default());
+        let _ = hbm.request(3 * HORIZON_CYCLES, 0);
+        let _ = hbm.request(0, 0);
     }
 
     #[test]

@@ -564,9 +564,11 @@ pub fn validate_flight_summary(doc: &JsonValue) -> Result<(), String> {
     }
     let recorded = require_count(doc, "recorded", what)?;
     let retained = require_count(doc, "retained", what)?;
-    if retained != recorded.min(cap) {
+    let pending = require_count(doc, "pending", what)?;
+    if retained + pending != recorded.min(cap) {
         return Err(format!(
-            "{what}: retained ({retained}) must be min(recorded {recorded}, cap {cap})"
+            "{what}: retained ({retained}) + pending ({pending}) must be \
+             min(recorded {recorded}, cap {cap})"
         ));
     }
     require_count(doc, "dumps", what)?;
@@ -626,17 +628,17 @@ pub fn validate_flight_dump(doc: &JsonValue) -> Result<(), String> {
     }
     let cap = require_count(doc, "cap", what)?;
     let recorded = require_count(doc, "recorded", what)?;
+    let pending = require_count(doc, "pending", what)?;
     let events = require(doc, "events", what)?
         .as_arr()
         .ok_or_else(|| format!("{what}: events must be an array"))?;
-    // A slot's sequence number is claimed (bumping `recorded`) before its
-    // payload write completes, so a dump frozen mid-run — e.g. at the
-    // moment of a worker panic, while connections keep admitting — may
-    // retain fewer events than `recorded` even below `cap`. It can never
-    // retain more than either bound.
-    if events.len() as f64 > recorded.min(cap) {
+    // The dump is one cut of the ring at `recorded` claims: its window is
+    // the newest min(recorded, cap) of them, each either an event or
+    // pending (claimed, payload not yet written).
+    let window = recorded.min(cap);
+    if events.len() as f64 + pending != window {
         return Err(format!(
-            "{what}: {} events exceeds min(recorded {recorded}, cap {cap})",
+            "{what}: {} events + pending ({pending}) must be min(recorded {recorded}, cap {cap})",
             events.len()
         ));
     }
@@ -650,6 +652,12 @@ pub fn validate_flight_dump(doc: &JsonValue) -> Result<(), String> {
             ));
         }
         prev_seq = seq;
+        if seq < recorded - window || seq >= recorded {
+            return Err(format!(
+                "{what}: event {i} seq {seq} is outside the cut [{}, {recorded})",
+                recorded - window
+            ));
+        }
         let t = require_num(event, "t_us", what).map_err(|e| format!("{e} (event {i})"))?;
         if t < 0.0 {
             return Err(format!("{what}: event {i} has negative t_us"));
@@ -1415,17 +1423,21 @@ mod tests {
     #[test]
     fn flight_documents_are_validated() {
         let summary = r#"{
-            "cap": 4, "recorded": 6, "retained": 4, "dumps": 1,
+            "cap": 4, "recorded": 6, "retained": 3, "pending": 1, "dumps": 1,
             "last_dump_reason": "worker_panic",
-            "by_kind": {"admit": 2, "batch_start": 1, "panic": 1}
+            "by_kind": {"admit": 1, "batch_start": 1, "panic": 1}
         }"#;
         validate_flight_summary(&JsonValue::parse(summary).unwrap()).unwrap();
-        let bad = summary.replace("\"retained\": 4", "\"retained\": 5");
-        assert!(validate_flight_summary(&JsonValue::parse(&bad).unwrap()).is_err());
+        // The cut must account for every slot of its window exactly.
+        let lost = summary.replace("\"pending\": 1", "\"pending\": 0");
+        let err = validate_flight_summary(&JsonValue::parse(&lost).unwrap()).unwrap_err();
+        assert!(err.contains("pending"), "{err}");
+        let missing = summary.replace("\"pending\": 1, ", "");
+        assert!(validate_flight_summary(&JsonValue::parse(&missing).unwrap()).is_err());
 
         let dump = r#"{
             "kind": "nvwa-flight", "schema_version": 1,
-            "reason": "worker_panic", "cap": 8, "recorded": 3,
+            "reason": "worker_panic", "cap": 8, "recorded": 3, "pending": 0,
             "events": [
                 {"seq": 0, "t_us": 10, "kind": "admit", "a": 1, "b": 0, "c": 1},
                 {"seq": 1, "t_us": 20, "kind": "batch_start", "a": 0, "b": 1, "c": 4},
@@ -1436,13 +1448,23 @@ mod tests {
                        "quota": 0}
         }"#;
         validate_flight_dump(&JsonValue::parse(dump).unwrap()).unwrap();
-        // A mid-run dump may retain fewer events than `recorded` (slots
-        // claimed but not yet written at snapshot time) — never more.
-        let midrun = dump.replace("\"recorded\": 3", "\"recorded\": 5");
+        // A mid-run dump accounts for slots claimed but not yet written
+        // as pending; unaccounted slots or events are rejected.
+        let midrun = dump.replace(
+            "\"recorded\": 3, \"pending\": 0",
+            "\"recorded\": 4, \"pending\": 1",
+        );
         validate_flight_dump(&JsonValue::parse(&midrun).unwrap()).unwrap();
+        let lost = dump.replace("\"recorded\": 3", "\"recorded\": 5");
+        let err = validate_flight_dump(&JsonValue::parse(&lost).unwrap()).unwrap_err();
+        assert!(err.contains("pending"), "{err}");
         let inflated = dump.replace("\"recorded\": 3", "\"recorded\": 2");
         let err = validate_flight_dump(&JsonValue::parse(&inflated).unwrap()).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
+        assert!(err.contains("pending"), "{err}");
+        // Every event lies inside the cut's window.
+        let future = dump.replace("\"seq\": 2", "\"seq\": 3");
+        let err = validate_flight_dump(&JsonValue::parse(&future).unwrap()).unwrap_err();
+        assert!(err.contains("outside the cut"), "{err}");
         // Digest must agree with the event list.
         let lying = dump.replace("\"panic\": 1", "\"panic\": 2");
         let err = validate_flight_dump(&JsonValue::parse(&lying).unwrap()).unwrap_err();

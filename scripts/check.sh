@@ -11,7 +11,9 @@ set -eu
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-cargo test -q
+# Every package's tests: the root package's tier-1 suite plus each member
+# crate's unit, property and differential tests.
+cargo test --workspace -q
 
 # Golden Chrome-trace test (also part of the suite above; run named so a
 # drift fails loudly here even if the suite is filtered).
