@@ -64,7 +64,11 @@ pub fn banded_extend_with(
     }
 
     let DpScratch {
-        tb, h, h2, f_col, ..
+        tb,
+        h,
+        h2,
+        f: f_col,
+        ..
     } = s;
     let mut h_prev = h;
     let mut h_curr = h2;
@@ -154,7 +158,7 @@ pub fn banded_extend_with(
             cigar: Cigar::new(),
         };
     }
-    let (cigar, qi, tj) = traceback(tb, n, bi, bj, query, target, false);
+    let (cigar, qi, tj) = traceback(tb, |i, j| i * (n + 1) + j, bi, bj, query, target, false);
     debug_assert_eq!((qi, tj), (0, 0), "banded traceback must reach anchor");
     ExtensionAlignment {
         score,

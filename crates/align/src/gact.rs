@@ -10,7 +10,9 @@ use crate::cigar::Cigar;
 #[cfg(test)]
 use crate::cigar::CigarOp;
 use crate::scoring::Scoring;
-use crate::sw::{extend_align, ExtensionAlignment};
+#[cfg(test)]
+use crate::sw::extend_align;
+use crate::sw::{extend_align_with, DpScratch, ExtensionAlignment};
 
 /// GACT tiling parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,14 +59,28 @@ pub struct GactStats {
 /// Extends `query` against `target` from the anchored origin using GACT
 /// tiling. Returns the committed alignment and tiling statistics.
 ///
-/// The result approximates [`extend_align`] (exact when each tile's optimal
-/// path stays within the committed prefix — Darwin's empirical observation)
-/// while only ever holding one `tile_size²` matrix.
+/// The result approximates [`extend_align`](crate::sw::extend_align)
+/// (exact when each tile's optimal path stays within the committed prefix —
+/// Darwin's empirical observation) while only ever holding one
+/// `tile_size²` matrix. Convenience wrapper over [`gact_extend_with`] with
+/// fresh buffers.
 pub fn gact_extend(
     query: &[u8],
     target: &[u8],
     scoring: &Scoring,
     config: &GactConfig,
+) -> (ExtensionAlignment, GactStats) {
+    gact_extend_with(query, target, scoring, config, &mut DpScratch::new())
+}
+
+/// [`gact_extend`] with caller-provided DP buffers: every tile reuses the
+/// one `tile_size²` traceback matrix in `dp` (bit-identical result).
+pub fn gact_extend_with(
+    query: &[u8],
+    target: &[u8],
+    scoring: &Scoring,
+    config: &GactConfig,
+    dp: &mut DpScratch,
 ) -> (ExtensionAlignment, GactStats) {
     config.validate();
     let mut stats = GactStats::default();
@@ -78,7 +94,7 @@ pub fn gact_extend(
         if q_tile.is_empty() || t_tile.is_empty() {
             break;
         }
-        let tile = extend_align(q_tile, t_tile, scoring);
+        let tile = extend_align_with(q_tile, t_tile, scoring, dp);
         stats.tiles += 1;
         stats.dp_cells += q_tile.len() as u64 * t_tile.len() as u64;
         if tile.cigar.is_empty() {

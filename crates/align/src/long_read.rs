@@ -13,8 +13,9 @@ use nvwa_index::trace::{MemAddr, VecTrace};
 
 use crate::chain::{chain_seeds, ChainConfig, Seed};
 use crate::cigar::Cigar;
-use crate::gact::{gact_extend, GactConfig, GactStats};
+use crate::gact::{gact_extend_with, GactConfig, GactStats};
 use crate::scoring::Scoring;
+use crate::sw::DpScratch;
 
 /// Long-read aligner parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,13 +141,16 @@ impl<'r> LongReadAligner<'r> {
         let (qs, qe) = chain.query_span();
         let (rs, re) = chain.ref_span();
 
-        // --- Fill: GACT across the chained span plus both flanks. ---
+        // --- Fill: GACT across the chained span plus both flanks, all
+        // tiles sharing one DP scratch. ---
         let reference = &self.index.reference;
+        let (scoring, gact) = (&self.config.scoring, &self.config.gact);
+        let mut dp = DpScratch::new();
         let mut gact_total = GactStats::default();
         let mut cigar = Cigar::new();
 
         // Left flank (reversed fill toward lower coordinates).
-        let left_window = qs + self.config.gact.tile_size / 2;
+        let left_window = qs + gact.tile_size / 2;
         let left_start = (rs as usize).saturating_sub(left_window);
         let left_q: Vec<u8> = oriented[..qs].iter().rev().copied().collect();
         let left_t: Vec<u8> = reference[left_start..rs as usize]
@@ -154,7 +158,7 @@ impl<'r> LongReadAligner<'r> {
             .rev()
             .copied()
             .collect();
-        let (left, stats) = gact_extend(&left_q, &left_t, &self.config.scoring, &self.config.gact);
+        let (left, stats) = gact_extend_with(&left_q, &left_t, scoring, gact, &mut dp);
         accumulate(&mut gact_total, &stats);
         let mut left_cigar = left.cigar.clone();
         left_cigar.reverse();
@@ -163,21 +167,20 @@ impl<'r> LongReadAligner<'r> {
         // Chained body fill.
         let body_q = &oriented[qs..qe];
         let body_t = &reference[rs as usize..(re as usize).min(reference.len())];
-        let (body, stats) = gact_extend(body_q, body_t, &self.config.scoring, &self.config.gact);
+        let (body, stats) = gact_extend_with(body_q, body_t, scoring, gact, &mut dp);
         accumulate(&mut gact_total, &stats);
         cigar.concat(&body.cigar);
 
         // Right flank.
         let right_q = &oriented[(qs + body.query_len).min(oriented.len())..];
         let right_anchor = rs as usize + body.target_len;
-        let right_end =
-            (right_anchor + right_q.len() + self.config.gact.tile_size / 2).min(reference.len());
+        let right_end = (right_anchor + right_q.len() + gact.tile_size / 2).min(reference.len());
         let right_t = &reference[right_anchor.min(reference.len())..right_end];
-        let (right, stats) = gact_extend(right_q, right_t, &self.config.scoring, &self.config.gact);
+        let (right, stats) = gact_extend_with(right_q, right_t, scoring, gact, &mut dp);
         accumulate(&mut gact_total, &stats);
         cigar.concat(&right.cigar);
 
-        let score = cigar.score(&self.config.scoring);
+        let score = cigar.score(scoring);
         Some(LongReadAlignment {
             ref_pos: rs - left.target_len as u64,
             query_start: qs - left.query_len,

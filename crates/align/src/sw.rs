@@ -1,17 +1,45 @@
 //! Full affine-gap Smith-Waterman with traceback.
 //!
-//! Two variants are provided: [`local_align`] (classic local alignment,
-//! zero-floored) and [`extend_align`] (anchored at the origin, the
-//! seed-extension step of the pipeline). Both produce an exact [`Cigar`]
+//! Three entry points share one forward fill: [`local_align`] (classic
+//! local alignment, zero-floored), [`extend_align`] (anchored at the
+//! origin, the seed-extension and GACT-tile step) and [`global_align`]
+//! (both ends fixed, the chain-gap glue). Each produces an exact [`Cigar`]
 //! via a packed traceback matrix, like Darwin's GACT tiles do in SRAM.
 //!
-//! The forward fill is the aligner's hot kernel (it dominates workload
-//! construction). The shared [`fill`] keeps a single rolling H row with
-//! the left/diagonal cells in registers, hoists the gap constants out of
-//! the inner loop, and replaces the per-cell substitution branch with a
-//! 4×n score profile selected by the row's query base. Tie-breaking is
-//! bit-identical to the reference implementations retained in [`naive`]
-//! (the differential-testing oracle).
+//! The fill is a **wavefront**: it sweeps the matrix one anti-diagonal
+//! `d = i + j` at a time, as the systolic extension units do (see
+//! `nvwa_core::extension::systolic`). The cells of one anti-diagonal do
+//! not depend on each other, so the cell body carries no loop-carried
+//! chain and compiles to vector code:
+//!
+//! * **Buffers.** Three rolling `i`-indexed H buffers hold diagonals `d`,
+//!   `d-1` and `d-2`. E (gap consuming target) is updated in place at
+//!   index `i`; F (gap consuming query) in place at index `n - j`, so both
+//!   read their own predecessor at the same index. The target is reversed
+//!   once per call, putting `target[j-1]` at `n - j`: the query and the
+//!   reversed target are both contiguous, ascending slices along a
+//!   diagonal, as are all five buffers.
+//! * **Cell body.** Branch-free selects in the diag → E → F strict-`>`
+//!   order of the row-major recurrence, so every H value and traceback
+//!   byte equals the one [`naive`] computes.
+//! * **Traceback.** Bytes are laid out diagonal-major (diagonal `d` starts
+//!   at a closed-form offset, cells ordered by `i`), so each diagonal
+//!   writes one contiguous run. [`traceback`] takes the cell-index
+//!   function, which keeps the banded kernel on its row-major layout.
+//! * **Best cell.** The row-major fill keeps the first strict maximum in
+//!   row-major order: the largest score, ties to the smallest `i`, then
+//!   the smallest `j`. The wavefront takes each diagonal's maximum, finds
+//!   its smallest `i` only when it can win, and replaces the best on a
+//!   larger score or an equal score at a smaller `i`. Within one diagonal
+//!   the rows differ; between diagonals an equal `i` means a larger `j`,
+//!   which never replaces. So end cells, scores and CIGARs are unchanged.
+//! * **AVX2.** The same `#[inline(always)]` body is compiled twice: as is
+//!   and inside a `#[target_feature(enable = "avx2")]` wrapper, picked per
+//!   fill by `is_x86_feature_detected!` (cached by std). One source, two
+//!   instruction selections.
+//!
+//! [`naive`] keeps the textbook row-major fills as the differential-testing
+//! oracle.
 
 use crate::cigar::{Cigar, CigarOp};
 use crate::scoring::Scoring;
@@ -65,18 +93,19 @@ pub fn dp_cells(query_len: usize, target_len: usize) -> u64 {
 }
 
 /// Reusable DP buffers for the SW and banded kernels: the packed traceback
-/// matrix, rolling H rows, column-local F, and the 4×n score profile. One
-/// instance per worker (inside `AlignScratch`) removes every per-call
-/// allocation of the extension stage; results are bit-identical to the
-/// allocating entry points.
+/// matrix, the rolling H, E and F buffers and the reversed target. One
+/// instance per worker (inside `AlignScratch`) or per long read removes
+/// every per-call allocation; results are bit-identical to the allocating
+/// entry points.
 #[derive(Debug, Clone, Default)]
 pub struct DpScratch {
     pub(crate) tb: Vec<u8>,
     pub(crate) h: Vec<i32>,
     pub(crate) h2: Vec<i32>,
-    pub(crate) f_col: Vec<i32>,
-    score_tab: Vec<i32>,
-    profile_row: Vec<i32>,
+    h3: Vec<i32>,
+    e: Vec<i32>,
+    pub(crate) f: Vec<i32>,
+    t_rev: Vec<u8>,
 }
 
 impl DpScratch {
@@ -86,140 +115,229 @@ impl DpScratch {
     }
 }
 
-/// Shared forward DP fill into caller-provided buffers. `LOCAL` selects the
-/// zero-floored local recurrence; otherwise the anchored (extension/global)
-/// recurrence with gap-scored boundaries. Comparisons are strict `>` in
-/// diag → E → F order, exactly as in [`naive`], so scores, best cells and
-/// tracebacks are identical. Returns the best cell `(score, i, j)` and the
-/// last cell's score (for global alignment); the traceback matrix is left
-/// in `s.tb`.
-fn fill_into<const LOCAL: bool>(
+/// The best cell `(score, i, j)` in row-major first-strict-max order and
+/// the score of the last cell `(m, n)` (for global alignment).
+type Fill = ((i32, usize, usize), i32);
+
+/// Offset of anti-diagonal `d` in the diagonal-major traceback of an
+/// `(m+1)×(n+1)` matrix: the number of cells on diagonals `0..d`.
+#[inline]
+fn diag_offset(m: usize, n: usize, d: usize) -> usize {
+    let (a, b) = (m.min(n), m.max(n));
+    let tri = |x: usize| x * (x + 1) / 2;
+    if d <= a + 1 {
+        tri(d)
+    } else if d <= b + 1 {
+        tri(a + 1) + (d - a - 1) * (a + 1)
+    } else {
+        (m + 1) * (n + 1) - tri(m + n + 1 - d)
+    }
+}
+
+/// Index of cell `(i, j)` in the diagonal-major traceback of an
+/// `(m+1)×(n+1)` matrix: diagonal `i + j`, cells ordered by `i`.
+#[inline]
+fn diag_index(m: usize, n: usize, i: usize, j: usize) -> usize {
+    let d = i + j;
+    diag_offset(m, n, d) + i - d.saturating_sub(n)
+}
+
+/// The wavefront fill. `LOCAL` selects the zero-floored local recurrence;
+/// otherwise the anchored (extension/global) recurrence with gap-scored
+/// boundaries. The traceback matrix is left in `s.tb`, diagonal-major.
+fn fill<const LOCAL: bool>(
     query: &[u8],
     target: &[u8],
     scoring: &Scoring,
     s: &mut DpScratch,
-) -> ((i32, usize, usize), i32) {
-    let m = query.len();
-    let n = target.len();
+) -> Fill {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked just above.
+        return unsafe { fill_avx2::<LOCAL>(query, target, scoring, s) };
+    }
+    fill_body::<LOCAL>(query, target, scoring, s)
+}
+
+/// [`fill_body`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_avx2<const LOCAL: bool>(
+    query: &[u8],
+    target: &[u8],
+    scoring: &Scoring,
+    s: &mut DpScratch,
+) -> Fill {
+    fill_body::<LOCAL>(query, target, scoring, s)
+}
+
+#[inline(always)]
+fn fill_body<const LOCAL: bool>(
+    query: &[u8],
+    target: &[u8],
+    scoring: &Scoring,
+    s: &mut DpScratch,
+) -> Fill {
+    let (m, n) = (query.len(), target.len());
     let go1 = scoring.gap_cost(1);
     let ge = scoring.gap_extend;
     let DpScratch {
         tb,
         h,
-        f_col,
-        score_tab,
-        profile_row,
-        ..
+        h2,
+        h3,
+        e,
+        f,
+        t_rev,
     } = s;
 
-    tb.clear();
-    tb.resize((m + 1) * (n + 1), 0);
-    // The rolling H row, holding row i-1 while row i is computed in place.
-    h.clear();
-    if LOCAL {
-        h.resize(n + 1, 0);
-    } else {
-        h.reserve(n + 1);
-        h.push(0);
-        let mut b = -go1;
-        for _ in 1..=n {
-            h.push(b);
-            b -= ge;
-        }
-        // Row 0 comes from E-gaps; mark for traceback.
-        for (j, cell) in tb.iter_mut().enumerate().take(n + 1).skip(1) {
-            *cell = H_FROM_E | if j > 1 { E_EXT } else { 0 };
-        }
+    // Every cell, boundaries included, is written below: no clearing.
+    let cells = (m + 1) * (n + 1);
+    if tb.len() < cells {
+        tb.resize(cells, 0);
     }
-    // F is column-local (gap consuming query): persists across rows.
-    f_col.clear();
-    f_col.resize(n + 1, NEG_INF);
-
-    // 4×n substitution profile: row `c` scores code `c` against every
-    // target base. A target code ≥ 4 equals none of 0..=3, so -mismatch
-    // is exact for it too; query codes ≥ 4 fall back to direct scoring.
-    score_tab.clear();
-    score_tab.resize(4 * n, 0);
-    for c in 0..4u8 {
-        let row = &mut score_tab[c as usize * n..(c as usize + 1) * n];
-        for (s, &t) in row.iter_mut().zip(target) {
-            *s = scoring.score(c, t);
-        }
+    t_rev.clear();
+    t_rev.extend(target.iter().rev());
+    for buf in [&mut *h, &mut *h2, &mut *h3, &mut *e] {
+        buf.clear();
+        buf.resize(m + 1, NEG_INF);
     }
+    f.clear();
+    f.resize(n + 1, NEG_INF);
 
-    let mut best = (0i32, 0usize, 0usize);
-    let mut boundary = -go1;
-    for i in 1..=m {
-        let qc = query[i - 1] as usize;
-        let row_scores: &[i32] = if qc < 4 {
-            &score_tab[qc * n..(qc + 1) * n]
+    // Row 0 / column 0 at distance k ≥ 1 from the origin, with its
+    // traceback byte (E-gaps along row 0, F-gaps down column 0).
+    let edge = |k: usize| -> i32 {
+        if LOCAL {
+            0
         } else {
-            profile_row.clear();
-            profile_row.extend(target.iter().map(|&t| scoring.score(qc as u8, t)));
-            profile_row
-        };
-        let tb_row = &mut tb[i * (n + 1)..(i + 1) * (n + 1)];
-        // E is row-local (gap consuming target): resets each row.
-        let mut e = NEG_INF;
-        let mut h_diag = h[0];
-        let h0 = if LOCAL { 0 } else { boundary };
-        h[0] = h0;
-        if !LOCAL {
-            tb_row[0] = H_FROM_F | if i > 1 { F_EXT } else { 0 };
-            boundary -= ge;
+            -go1 - (k as i32 - 1) * ge
         }
-        let mut h_left = h0;
-        for j in 1..=n {
-            let e_open = h_left - go1;
-            let e_ext = e - ge;
-            let e_flag;
-            (e, e_flag) = if e_ext > e_open {
-                (e_ext, E_EXT)
-            } else {
-                (e_open, 0)
-            };
-            let up = h[j];
-            let f_open = up - go1;
-            let f_ext = f_col[j] - ge;
-            let (f, f_flag) = if f_ext > f_open {
-                (f_ext, F_EXT)
-            } else {
-                (f_open, 0)
-            };
-            f_col[j] = f;
-            let diag = h_diag + row_scores[j - 1];
+    };
+    let edge_tb = |src: u8, ext: u8, k: usize| -> u8 {
+        if LOCAL {
+            H_STOP
+        } else {
+            src | if k > 1 { ext } else { 0 }
+        }
+    };
 
-            let mut hv;
-            let mut src;
-            if LOCAL {
-                hv = 0;
-                src = H_STOP;
-                if diag > hv {
-                    hv = diag;
-                    src = H_DIAG;
+    // Diagonals d (being written), d-1 and d-2.
+    let (mut cur, mut prev, mut prev2) = (&mut h[..], &mut h2[..], &mut h3[..]);
+    prev[0] = 0;
+    tb[0] = H_STOP;
+    let mut best = (0i32, 0usize, 0usize);
+    for d in 1..=m + n {
+        let base = diag_offset(m, n, d);
+        let first = d.saturating_sub(n);
+        if d <= n {
+            cur[0] = edge(d);
+            f[n - d] = NEG_INF;
+            tb[base] = edge_tb(H_FROM_E, E_EXT, d);
+        }
+        if d <= m {
+            cur[d] = edge(d);
+            e[d] = NEG_INF;
+            tb[base + d - first] = edge_tb(H_FROM_F, F_EXT, d);
+        }
+        let (lo, hi) = (first.max(1), m.min(d - 1));
+        if lo <= hi {
+            // Cell (i, d-i) for i in lo..=hi; `target[j-1]` and F of
+            // column j both sit at n - j = n - d + i.
+            let rev = n + lo - d;
+            let len = hi + 1 - lo;
+            let dmax = diagonal::<LOCAL>(
+                Operands {
+                    q: &query[lo - 1..hi],
+                    t: &t_rev[rev..rev + len],
+                    h_left: &prev[lo..=hi],
+                    h_up: &prev[lo - 1..hi],
+                    h_diag: &prev2[lo - 1..hi],
+                },
+                &mut e[lo..=hi],
+                &mut f[rev..rev + len],
+                &mut cur[lo..=hi],
+                &mut tb[base + lo - first..base + hi + 1 - first],
+                scoring,
+            );
+            if dmax > best.0 || (dmax == best.0 && best.1 > lo) {
+                let i = lo
+                    + cur[lo..=hi]
+                        .iter()
+                        .position(|&v| v == dmax)
+                        .expect("the diagonal maximum is on the diagonal");
+                if dmax > best.0 || i < best.1 {
+                    best = (dmax, i, d - i);
                 }
-            } else {
-                hv = diag;
-                src = H_DIAG;
-            }
-            if e > hv {
-                hv = e;
-                src = H_FROM_E;
-            }
-            if f > hv {
-                hv = f;
-                src = H_FROM_F;
-            }
-            h[j] = hv;
-            tb_row[j] = src | e_flag | f_flag;
-            h_left = hv;
-            h_diag = up;
-            if hv > best.0 {
-                best = (hv, i, j);
             }
         }
+        let freed = prev2;
+        prev2 = prev;
+        prev = cur;
+        cur = freed;
     }
-    (best, h[n])
+    (best, prev[m])
+}
+
+/// The read-only operands of one diagonal, all indexed like its cells.
+struct Operands<'a> {
+    q: &'a [u8],
+    t: &'a [u8],
+    h_left: &'a [i32],
+    h_up: &'a [i32],
+    h_diag: &'a [i32],
+}
+
+/// Computes one anti-diagonal's cells: H into `h`, E and F in place,
+/// traceback bytes into `tb`. Returns the diagonal's maximum H.
+#[inline(always)]
+fn diagonal<const LOCAL: bool>(
+    ops: Operands<'_>,
+    e: &mut [i32],
+    f: &mut [i32],
+    h: &mut [i32],
+    tb: &mut [u8],
+    scoring: &Scoring,
+) -> i32 {
+    let len = h.len();
+    let (q, t) = (&ops.q[..len], &ops.t[..len]);
+    let (h_left, h_up, h_diag) = (&ops.h_left[..len], &ops.h_up[..len], &ops.h_diag[..len]);
+    let (e, f, tb) = (&mut e[..len], &mut f[..len], &mut tb[..len]);
+    let go1 = scoring.gap_cost(1);
+    let ge = scoring.gap_extend;
+    let (hit, miss) = (scoring.match_score, -scoring.mismatch_penalty);
+    let mut dmax = i32::MIN;
+    for x in 0..len {
+        let e_open = h_left[x] - go1;
+        let e_ext = e[x] - ge;
+        let e_more = e_ext > e_open;
+        let ev = if e_more { e_ext } else { e_open };
+        let f_open = h_up[x] - go1;
+        let f_ext = f[x] - ge;
+        let f_more = f_ext > f_open;
+        let fv = if f_more { f_ext } else { f_open };
+        let diag = h_diag[x] + if q[x] == t[x] { hit } else { miss };
+
+        let (mut hv, mut src) = if LOCAL && diag <= 0 {
+            (0, H_STOP)
+        } else {
+            (diag, H_DIAG)
+        };
+        if ev > hv {
+            hv = ev;
+            src = H_FROM_E;
+        }
+        if fv > hv {
+            hv = fv;
+            src = H_FROM_F;
+        }
+        e[x] = ev;
+        f[x] = fv;
+        h[x] = hv;
+        tb[x] = src | if e_more { E_EXT } else { 0 } | if f_more { F_EXT } else { 0 };
+        dmax = dmax.max(hv);
+    }
+    dmax
 }
 
 /// Classic affine-gap local alignment (Smith-Waterman-Gotoh).
@@ -239,8 +357,8 @@ pub fn local_align_with(
     scoring: &Scoring,
     s: &mut DpScratch,
 ) -> LocalAlignment {
-    let n = target.len();
-    let (best, _) = fill_into::<true>(query, target, scoring, s);
+    let (m, n) = (query.len(), target.len());
+    let (best, _) = fill::<true>(query, target, scoring, s);
     let (score, bi, bj) = best;
     if score <= 0 {
         return LocalAlignment {
@@ -252,7 +370,8 @@ pub fn local_align_with(
             cigar: Cigar::new(),
         };
     }
-    let (cigar, qi, tj) = traceback(&s.tb, n, bi, bj, query, target, true);
+    let at = |i, j| diag_index(m, n, i, j);
+    let (cigar, qi, tj) = traceback(&s.tb, at, bi, bj, query, target, true);
     LocalAlignment {
         score,
         query_start: qi,
@@ -279,8 +398,8 @@ pub fn extend_align_with(
     scoring: &Scoring,
     s: &mut DpScratch,
 ) -> ExtensionAlignment {
-    let n = target.len();
-    let (best, _) = fill_into::<false>(query, target, scoring, s);
+    let (m, n) = (query.len(), target.len());
+    let (best, _) = fill::<false>(query, target, scoring, s);
     let (score, bi, bj) = best;
     if bi == 0 && bj == 0 {
         return ExtensionAlignment {
@@ -290,7 +409,8 @@ pub fn extend_align_with(
             cigar: Cigar::new(),
         };
     }
-    let (cigar, qi, tj) = traceback(&s.tb, n, bi, bj, query, target, false);
+    let at = |i, j| diag_index(m, n, i, j);
+    let (cigar, qi, tj) = traceback(&s.tb, at, bi, bj, query, target, false);
     debug_assert_eq!((qi, tj), (0, 0), "extension traceback must reach anchor");
     ExtensionAlignment {
         score,
@@ -333,8 +453,9 @@ pub fn global_align_with(
             cigar,
         };
     }
-    let (_, last) = fill_into::<false>(query, target, scoring, s);
-    let (cigar, qi, tj) = traceback(&s.tb, n, m, n, query, target, false);
+    let (_, last) = fill::<false>(query, target, scoring, s);
+    let at = |i, j| diag_index(m, n, i, j);
+    let (cigar, qi, tj) = traceback(&s.tb, at, m, n, query, target, false);
     debug_assert_eq!((qi, tj), (0, 0), "global traceback must reach origin");
     ExtensionAlignment {
         score: last,
@@ -345,11 +466,12 @@ pub fn global_align_with(
 }
 
 /// Walks the packed traceback matrix from `(bi, bj)` back to a stop cell
-/// (local) or the origin (extension). Returns the forward-oriented CIGAR and
-/// the start cell. Shared with the banded aligner.
+/// (local) or the origin (extension). `at(i, j)` maps a cell to its byte in
+/// `tb` (diagonal-major for the full fill, row-major for the banded one).
+/// Returns the forward-oriented CIGAR and the start cell.
 pub(crate) fn traceback(
     tb: &[u8],
-    n: usize,
+    at: impl Fn(usize, usize) -> usize,
     mut i: usize,
     mut j: usize,
     query: &[u8],
@@ -363,7 +485,7 @@ pub(crate) fn traceback(
         if i == 0 && j == 0 {
             break;
         }
-        let cell = tb[i * (n + 1) + j];
+        let cell = tb[at(i, j)];
         match state {
             0 => {
                 let src = cell & 0b11;
@@ -408,10 +530,11 @@ pub(crate) fn traceback(
     (cigar, i, j)
 }
 
-/// Reference implementations: the original two-row fills with a per-cell
-/// scoring call. Not used by the pipeline — kept as the differential-
-/// testing oracle for the optimized [`fill`] (unit tests here and the
-/// property tests in `tests/proptests.rs` compare against them).
+/// Reference implementations: textbook row-major two-row fills with a
+/// per-cell scoring call and a row-major traceback. Not used by the
+/// pipeline — kept as the differential-testing oracle for the wavefront
+/// fill (unit tests here and the property tests in `tests/proptests.rs`
+/// compare against them).
 pub mod naive {
     use super::*;
 
@@ -483,7 +606,7 @@ pub mod naive {
                 cigar: Cigar::new(),
             };
         }
-        let (cigar, qi, tj) = traceback(&tb, n, bi, bj, query, target, true);
+        let (cigar, qi, tj) = traceback(&tb, |i, j| i * (n + 1) + j, bi, bj, query, target, true);
         LocalAlignment {
             score,
             query_start: qi,
@@ -570,7 +693,7 @@ pub mod naive {
                 cigar: Cigar::new(),
             };
         }
-        let (cigar, qi, tj) = traceback(&tb, n, bi, bj, query, target, false);
+        let (cigar, qi, tj) = traceback(&tb, |i, j| i * (n + 1) + j, bi, bj, query, target, false);
         debug_assert_eq!((qi, tj), (0, 0), "extension traceback must reach anchor");
         ExtensionAlignment {
             score,
@@ -653,7 +776,7 @@ pub mod naive {
             std::mem::swap(&mut h_prev, &mut h_curr);
         }
         let score = h_prev[n];
-        let (cigar, qi, tj) = traceback(&tb, n, m, n, query, target, false);
+        let (cigar, qi, tj) = traceback(&tb, |i, j| i * (n + 1) + j, m, n, query, target, false);
         debug_assert_eq!((qi, tj), (0, 0), "global traceback must reach origin");
         ExtensionAlignment {
             score,
@@ -916,6 +1039,69 @@ mod tests {
                 naive::global_align(&q, &t, &scoring),
                 "global q={q:?} t={t:?}"
             );
+        }
+    }
+
+    #[test]
+    fn diagonal_index_is_a_bijection() {
+        for (m, n) in [(0, 0), (0, 3), (4, 0), (1, 1), (3, 7), (7, 3), (5, 5)] {
+            let mut seen = vec![false; (m + 1) * (n + 1)];
+            let mut last = None;
+            for d in 0..=m + n {
+                assert_eq!(diag_offset(m, n, d), last.map_or(0, |x: usize| x + 1));
+                for i in d.saturating_sub(n)..=m.min(d) {
+                    let k = diag_index(m, n, i, d - i);
+                    assert!(!seen[k], "({i},{}) reuses byte {k} in {m}x{n}", d - i);
+                    assert_eq!(last.map_or(0, |x| x + 1), k, "diagonal-major order");
+                    seen[k] = true;
+                    last = Some(k);
+                }
+            }
+            assert!(seen.into_iter().all(|b| b), "{m}x{n} leaves a byte unused");
+        }
+    }
+
+    /// The AVX2 build of the fill computes the same best cell, last cell
+    /// and traceback bytes as the generic build, when the host has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    mod avx2 {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        fn both_builds(local: bool, q: &[u8], t: &[u8], scoring: &Scoring) {
+            let (mut a, mut b) = (DpScratch::new(), DpScratch::new());
+            let (fa, fb) = if local {
+                // SAFETY: the caller checked that the host has AVX2.
+                let fa = unsafe { fill_avx2::<true>(q, t, scoring, &mut a) };
+                (fa, fill_body::<true>(q, t, scoring, &mut b))
+            } else {
+                // SAFETY: as above.
+                let fa = unsafe { fill_avx2::<false>(q, t, scoring, &mut a) };
+                (fa, fill_body::<false>(q, t, scoring, &mut b))
+            };
+            assert_eq!(fa, fb, "local={local} q={q:?} t={t:?}");
+            assert_eq!(a.tb, b.tb, "local={local} q={q:?} t={t:?}");
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn avx2_fill_equals_generic_fill(
+                q in proptest::collection::vec(0u8..5, 0..=200),
+                t in proptest::collection::vec(0u8..5, 0..=200),
+                k in 0usize..3,
+            ) {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    let scoring = [
+                        Scoring::bwa_mem(),
+                        Scoring::new(2, 3, 4, 1),
+                        Scoring::new(1, 0, 0, 0),
+                    ][k];
+                    both_builds(true, &q, &t, &scoring);
+                    both_builds(false, &q, &t, &scoring);
+                }
+            }
         }
     }
 }

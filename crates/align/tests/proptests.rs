@@ -22,6 +22,55 @@ fn long_codes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..4, 65..=max_len)
 }
 
+/// Sequences over A/C/G/T plus the ambiguity code 4 (`N`), empty included.
+fn codes_n(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..5, 0..=max_len)
+}
+
+/// Scoring schemes for the differential tests. The last two make ties
+/// common: unit costs, and free gaps with free mismatches.
+fn scheme(k: usize) -> Scoring {
+    match k % 5 {
+        0 => Scoring::bwa_mem(),
+        1 => Scoring::new(2, 3, 4, 1),
+        2 => Scoring::new(1, 4, 0, 2),
+        3 => Scoring::new(1, 1, 1, 1),
+        _ => Scoring::new(1, 0, 0, 0),
+    }
+}
+
+/// `unit` repeated to `len` bases, then `base` written at each of
+/// `edits` (taken modulo the length): homopolymers and period-2/3 repeats
+/// with a few breaks, where many cells tie for the best score.
+fn periodic(unit: &[u8], len: usize, edits: &[usize], base: u8) -> Vec<u8> {
+    let mut s: Vec<u8> = unit.iter().copied().cycle().take(len).collect();
+    if len > 0 {
+        for &e in edits {
+            s[e % len] = base;
+        }
+    }
+    s
+}
+
+/// Asserts all three entry points equal their row-major oracle.
+fn assert_matches_naive(q: &[u8], t: &[u8], scoring: &Scoring) {
+    assert_eq!(
+        local_align(q, t, scoring),
+        naive::local_align(q, t, scoring),
+        "local q={q:?} t={t:?} {scoring:?}"
+    );
+    assert_eq!(
+        extend_align(q, t, scoring),
+        naive::extend_align(q, t, scoring),
+        "extend q={q:?} t={t:?} {scoring:?}"
+    );
+    assert_eq!(
+        global_align(q, t, scoring),
+        naive::global_align(q, t, scoring),
+        "global q={q:?} t={t:?} {scoring:?}"
+    );
+}
+
 /// Last row of the full unit-cost DP: `D[m][j]` = edit distance of the
 /// whole pattern vs `t[..j]`, the prefix-scan oracle for extension mode.
 fn edit_last_row(p: &[u8], t: &[u8]) -> Vec<u32> {
@@ -172,7 +221,7 @@ proptest! {
         prop_assert!(local_align(&q, &longer, &scoring).score >= base);
     }
 
-    /// The optimized rolling-row kernel is bit-identical to the retained
+    /// The wavefront kernel is bit-identical to the retained row-major
     /// reference implementation across all three entry points — scores,
     /// spans and tracebacks, not just scores.
     #[test]
@@ -232,5 +281,86 @@ proptest! {
             }
         }
         prop_assert_eq!((qi, tj), (a.query_end, a.target_end));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The wavefront equals the row-major oracle on matrices up to
+    /// 300×300, empty sides included, with `N` (code 4) in either
+    /// sequence.
+    #[test]
+    fn wavefront_equals_naive_up_to_300(q in codes_n(300), t in codes_n(300), k in 0usize..5) {
+        assert_matches_naive(&q, &t, &scheme(k));
+    }
+
+    /// Tie-heavy inputs — homopolymers and period-2/3 repeats against
+    /// each other — pin the row-major first-maximum tie-break: the same
+    /// best cell, so the same end and the same CIGAR.
+    #[test]
+    fn wavefront_breaks_ties_like_row_major(
+        unit_q in proptest::collection::vec(0u8..5, 1..=3),
+        unit_t in proptest::collection::vec(0u8..5, 1..=3),
+        len_q in 0usize..=120,
+        len_t in 0usize..=120,
+        edits in proptest::collection::vec(0usize..1_000, 0..=3),
+        base in 0u8..5,
+        k in 0usize..5,
+    ) {
+        let q = periodic(&unit_q, len_q, &edits, base);
+        let t = periodic(&unit_t, len_t, &edits[edits.len().min(1)..], base);
+        assert_matches_naive(&q, &t, &scheme(k));
+        // A sequence against a shifted copy of itself: ties along many
+        // parallel diagonals.
+        let shifted = periodic(&unit_q, len_q + unit_q.len(), &[], base);
+        assert_matches_naive(&q, &shifted[unit_q.len().min(shifted.len())..], &scheme(k));
+    }
+
+    /// Two equal-length random blocks `a b` against `b spacer a`: two
+    /// local matches of equal score, the one ending in the earlier row
+    /// (`a`) on a later anti-diagonal. Row-major order finds `a` first,
+    /// so the wavefront must replace an equal best with a smaller row.
+    #[test]
+    fn wavefront_prefers_the_earlier_row_on_a_later_diagonal(
+        ab in proptest::collection::vec(0u8..4, 8..=80),
+        spacer in proptest::collection::vec(0u8..5, 1..=8),
+        k in 0usize..5,
+    ) {
+        let (a, b) = ab.split_at(ab.len() / 2);
+        let b = &b[..a.len()];
+        let q = [a, b].concat();
+        let t = [b, &spacer, a].concat();
+        assert_matches_naive(&q, &t, &scheme(k));
+    }
+}
+
+/// Every pair of sequences of length ≤ 2 over {A, C, N} — the 0×n, m×0
+/// and 1×1 corners — under every scheme.
+#[test]
+fn wavefront_equals_naive_on_all_tiny_matrices() {
+    let alphabet = [0u8, 1, 4];
+    let mut seqs: Vec<Vec<u8>> = vec![Vec::new()];
+    for len in 1..=2u32 {
+        for code in 0..alphabet.len().pow(len) {
+            let mut c = code;
+            seqs.push(
+                (0..len)
+                    .map(|_| {
+                        let b = alphabet[c % alphabet.len()];
+                        c /= alphabet.len();
+                        b
+                    })
+                    .collect(),
+            );
+        }
+    }
+    assert_eq!(seqs.len(), 13);
+    for k in 0..5 {
+        for q in &seqs {
+            for t in &seqs {
+                assert_matches_naive(q, t, &scheme(k));
+            }
+        }
     }
 }

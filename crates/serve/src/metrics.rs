@@ -761,7 +761,7 @@ impl ServeMetrics {
     /// together the exactly-once accounting total.
     pub fn span_chain_counts(&self) -> (usize, u64) {
         let inner = self.inner.lock().unwrap();
-        (inner.span_log.chains().len(), inner.span_log.dropped())
+        (inner.span_log.len(), inner.span_log.dropped())
     }
 
     /// The Chrome trace JSON, when tracing was enabled.

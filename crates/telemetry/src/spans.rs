@@ -296,12 +296,73 @@ impl RequestSpans {
     }
 }
 
+/// One retained chain as [`SpanLog`] stores it: ids, admission time and
+/// one duration per stage, with no per-chain allocation. The starts are
+/// not stored; [`RequestSpans::chain`] rebuilds them, which is exact for
+/// every chain that passes [`RequestSpans::check`].
+#[derive(Debug, Clone, Copy)]
+struct ChainRecord {
+    trace_id: u64,
+    conn: u64,
+    read_id: u64,
+    t0_ns: u64,
+    /// Duration of each stage, indexed by pipeline rank.
+    dur_ns: [u64; 4],
+    bin: u32,
+    outcome: Outcome,
+    /// Bit `rank` set when the chain has that stage.
+    stages: u8,
+}
+
+impl ChainRecord {
+    fn new(chain: &RequestSpans) -> ChainRecord {
+        let mut dur_ns = [0; 4];
+        let mut stages = 0u8;
+        for span in &chain.spans {
+            dur_ns[span.stage.rank()] = span.dur_ns;
+            stages |= 1 << span.stage.rank();
+        }
+        ChainRecord {
+            trace_id: chain.trace_id,
+            conn: chain.conn,
+            read_id: chain.read_id,
+            t0_ns: chain.t0_ns,
+            dur_ns,
+            bin: u32::try_from(chain.bin).expect("length bin index fits in u32"),
+            outcome: chain.outcome,
+            stages,
+        }
+    }
+
+    fn chain(&self) -> RequestSpans {
+        let mut stages = [(Stage::Queue, 0); 4];
+        let mut len = 0;
+        for stage in Stage::ALL {
+            if self.stages & (1 << stage.rank()) != 0 {
+                stages[len] = (stage, self.dur_ns[stage.rank()]);
+                len += 1;
+            }
+        }
+        RequestSpans::chain(
+            self.trace_id,
+            self.conn,
+            self.read_id,
+            self.bin as usize,
+            self.outcome,
+            self.t0_ns,
+            &stages[..len],
+        )
+    }
+}
+
 /// A bounded in-memory log of span chains: keeps the first `cap` chains,
-/// counts overflow as dropped.
+/// counts overflow as dropped. Chains are stored as fixed-size records
+/// and rebuilt with [`RequestSpans::chain`] when the log is rendered, so
+/// every rendered chain is contiguous by construction.
 #[derive(Debug)]
 pub struct SpanLog {
     cap: usize,
-    chains: Vec<RequestSpans>,
+    records: Vec<ChainRecord>,
     dropped: u64,
 }
 
@@ -310,23 +371,38 @@ impl SpanLog {
     pub fn new(cap: usize) -> SpanLog {
         SpanLog {
             cap,
-            chains: Vec::new(),
+            records: Vec::new(),
             dropped: 0,
         }
     }
 
     /// Records one finished request's chain.
+    ///
+    /// # Panics
+    ///
+    /// With debug assertions, panics if `chain` fails
+    /// [`RequestSpans::check`]: the log only holds contiguous chains.
     pub fn push(&mut self, chain: RequestSpans) {
-        if self.chains.len() < self.cap {
-            self.chains.push(chain);
+        debug_assert!(
+            chain.check().is_ok(),
+            "span log rejects a broken chain: {}",
+            chain.check().unwrap_err()
+        );
+        if self.records.len() < self.cap {
+            self.records.push(ChainRecord::new(&chain));
         } else {
             self.dropped += 1;
         }
     }
 
-    /// Chains recorded so far.
-    pub fn chains(&self) -> &[RequestSpans] {
-        &self.chains
+    /// Number of chains retained.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// `true` when no chain has been retained.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
     }
 
     /// Chains rejected because the log was full.
@@ -337,8 +413,8 @@ impl SpanLog {
     /// The full span-log document (`kind: "nvwa-spanlog"`), chains sorted
     /// by trace id so the bytes don't depend on completion order.
     pub fn to_json(&self) -> JsonValue {
-        let mut sorted: Vec<&RequestSpans> = self.chains.iter().collect();
-        sorted.sort_by_key(|c| c.trace_id);
+        let mut sorted: Vec<&ChainRecord> = self.records.iter().collect();
+        sorted.sort_by_key(|r| r.trace_id);
         JsonValue::obj(vec![
             ("kind", JsonValue::Str("nvwa-spanlog".to_string())),
             ("schema_version", JsonValue::Num(1.0)),
@@ -346,7 +422,7 @@ impl SpanLog {
             ("dropped", JsonValue::Num(self.dropped as f64)),
             (
                 "chains",
-                JsonValue::Arr(sorted.iter().map(|c| c.to_json()).collect()),
+                JsonValue::Arr(sorted.iter().map(|r| r.chain().to_json()).collect()),
             ),
         ])
     }
@@ -449,7 +525,7 @@ mod tests {
         log.push(ok_chain(5));
         log.push(ok_chain(1));
         log.push(ok_chain(9));
-        assert_eq!(log.chains().len(), 2);
+        assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 1);
         let doc = log.to_json();
         let chains = doc.get("chains").and_then(JsonValue::as_arr).unwrap();
@@ -459,5 +535,107 @@ mod tests {
             .collect();
         assert_eq!(ids, vec![1, 5]);
         crate::snapshot::validate_span_log(&doc).unwrap();
+    }
+
+    /// The span-log document exactly as it was rendered from retained
+    /// `RequestSpans` values, before the log stored compact records.
+    fn reference_doc(cap: usize, dropped: u64, chains: &[RequestSpans]) -> JsonValue {
+        let mut sorted: Vec<&RequestSpans> = chains.iter().collect();
+        sorted.sort_by_key(|c| c.trace_id);
+        JsonValue::obj(vec![
+            ("kind", JsonValue::Str("nvwa-spanlog".to_string())),
+            ("schema_version", JsonValue::Num(1.0)),
+            ("cap", JsonValue::Num(cap as f64)),
+            ("dropped", JsonValue::Num(dropped as f64)),
+            (
+                "chains",
+                JsonValue::Arr(sorted.iter().map(|c| c.to_json()).collect()),
+            ),
+        ])
+    }
+
+    fn mixed_chains() -> Vec<RequestSpans> {
+        vec![
+            ok_chain(12),
+            // Expired at batch formation: no align stage.
+            RequestSpans::chain(
+                4,
+                1,
+                77,
+                2,
+                Outcome::Deadline,
+                9_000,
+                &[
+                    (Stage::Queue, 10_000),
+                    (Stage::Fill, 5_000),
+                    (Stage::Write, 40),
+                ],
+            ),
+            RequestSpans::chain(
+                30,
+                2,
+                u64::MAX >> 12,
+                7,
+                Outcome::Unmapped,
+                123_456_789_012,
+                &[
+                    (Stage::Queue, 0),
+                    (Stage::Fill, 1),
+                    (Stage::Align, 4_000_000_000),
+                    (Stage::Write, 17),
+                ],
+            ),
+            RequestSpans::chain(8, 0, 3, 0, Outcome::Error, 5, &[(Stage::Align, 99)]),
+            ok_chain(1),
+        ]
+    }
+
+    #[test]
+    fn span_log_renders_the_same_bytes_as_the_chains() {
+        let chains = mixed_chains();
+        let mut log = SpanLog::new(16);
+        for c in &chains {
+            log.push(c.clone());
+        }
+        let doc = log.to_json();
+        let expected = reference_doc(16, 0, &chains);
+        assert_eq!(doc.to_string_compact(), expected.to_string_compact());
+        assert_eq!(doc.to_string_pretty(), expected.to_string_pretty());
+        crate::snapshot::validate_span_log(&doc).unwrap();
+        // Every chain round-trips through the rendered document.
+        let rendered = doc.get("chains").and_then(JsonValue::as_arr).unwrap();
+        let mut sorted = chains.clone();
+        sorted.sort_by_key(|c| c.trace_id);
+        for (v, c) in rendered.iter().zip(&sorted) {
+            assert_eq!(&RequestSpans::from_json(v).unwrap(), c);
+        }
+    }
+
+    #[test]
+    fn span_log_keeps_the_first_cap_chains_and_counts_the_rest() {
+        let chains = mixed_chains();
+        for cap in 0..=chains.len() + 1 {
+            let mut log = SpanLog::new(cap);
+            for c in &chains {
+                log.push(c.clone());
+            }
+            let kept = cap.min(chains.len());
+            assert_eq!(log.len(), kept, "cap {cap}");
+            assert_eq!(log.is_empty(), kept == 0, "cap {cap}");
+            assert_eq!(log.dropped(), (chains.len() - kept) as u64, "cap {cap}");
+            let doc = log.to_json();
+            let expected = reference_doc(cap, log.dropped(), &chains[..kept]);
+            assert_eq!(doc.to_string_compact(), expected.to_string_compact());
+            crate::snapshot::validate_span_log(&doc).unwrap();
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "span log rejects a broken chain")]
+    fn span_log_rejects_a_broken_chain() {
+        let mut gap = ok_chain(1);
+        gap.spans[2].start_ns += 1;
+        SpanLog::new(4).push(gap);
     }
 }

@@ -50,6 +50,18 @@ cargo run --release --quiet -p nvwa-bench --bin perf -- \
 cargo run --release --quiet -p nvwa-bench --bin validate -- \
     "$artifacts_dir/bench_seed.json"
 
+# Smith-Waterman fill perf gate: the anti-diagonal (wavefront) fill vs
+# the row-major `sw::naive` oracle on 192x240 local/extend/global
+# matrices. It measures ~4x with the AVX2 build and ~2x with the generic
+# (SSE2) build; the 1.3x floor is conservative so SSE2-only runners and
+# scheduler noise do not flake the build.
+cargo run --release --quiet -p nvwa-bench --bin perf -- \
+    --only sw_kernel --samples 3 \
+    --min-speedup sw_kernel_opt_vs_naive_1t:1.3 \
+    --out "$artifacts_dir/bench_sw.json"
+cargo run --release --quiet -p nvwa-bench --bin validate -- \
+    "$artifacts_dir/bench_sw.json"
+
 # Extension-kernel perf gates (PR 6): the bit-parallel banded edit kernel
 # vs the banded SW unit on the same flank workloads, then the end-to-end
 # pipeline vs a baseline aligner pinned to KernelPolicy::BandedSw (the
