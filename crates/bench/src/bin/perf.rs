@@ -50,11 +50,12 @@
 //!   serving overhead relative to the offline workload build.
 //! * `serve_reactor_10k_idle` — the PR8 scheduling scenario: park ~10k
 //!   idle connections (capped by `RLIMIT_NOFILE`: client and server fds
-//!   share one process here), then push 2 000 active reads, under the
-//!   thread-per-connection and the poll-reactor frontends. Records the
-//!   process thread count and `VmRSS` with the idle fleet parked plus
-//!   the active run's p99, in a dedicated `serve_reactor_10k_idle`
-//!   JSON section (`--out BENCH_PR8.json` is the convention for it).
+//!   share one process here) on the server's `poll(2)` reactor, then
+//!   push 2 000 active reads around them. Records the process thread
+//!   count and `VmRSS` with the idle fleet parked plus the active run's
+//!   p99, in a dedicated `serve_reactor_10k_idle` JSON section with one
+//!   `reactor` entry (`--out BENCH_PR8.json` is the convention for it;
+//!   that file also holds the retired thread-per-connection entry).
 //! * `serve_adaptive` — the PR9 adaptive-batching proof: a bursty
 //!   (Poisson bursts of short reads) and a bimodal (short + 2 000 bp)
 //!   mix, each through a static `(max_batch, max_wait)` grid and
@@ -82,10 +83,7 @@
 //!
 //! Medians of `--samples` runs (default 3). The file also records the
 //! host's available parallelism: on a single-CPU host the parallel
-//! scenarios legitimately measure ≈1× — and the frontends' p99s are
-//! closer than on a multi-core host, since one core serializes both
-//! designs' work anyway; the thread-count and RSS deltas are the
-//! architecture-independent signal.
+//! scenarios legitimately measure ≈1×.
 
 use std::time::Instant;
 
@@ -527,24 +525,22 @@ fn main() {
     }
 
     // --- serve_reactor_10k_idle ---------------------------------------
-    // The scheduling contrast behind the reactor: a thread-per-connection
-    // frontend pays one OS thread per parked socket; the poll reactor
-    // pays one pollfd. Park as close to 10k idle connections as
-    // RLIMIT_NOFILE allows (each costs two fds in this single process),
-    // then measure thread count + VmRSS with the fleet parked and the
-    // p99 of 2 000 active reads pushed around it.
-    struct FrontendStat {
-        frontend: &'static str,
+    // The reactor's cost model: a parked socket costs one pollfd, not an
+    // OS thread. Park as close to 10k idle connections as RLIMIT_NOFILE
+    // allows (each costs two fds in this single process), then measure
+    // thread count + VmRSS with the fleet parked and the p99 of 2 000
+    // active reads pushed around it.
+    struct IdleStat {
         idle_conns: usize,
         threads_with_idle: usize,
         vm_rss_kb_with_idle: u64,
         active_p99_ms: f64,
         active_wall_ms: f64,
     }
-    let mut frontend_stats: Vec<FrontendStat> = Vec::new();
+    let mut idle_stat: Option<IdleStat> = None;
     if want("serve_reactor_10k_idle") && cfg!(unix) {
         use nvwa_serve::loadgen::{run as loadgen_run, ArrivalMode, LoadgenConfig};
-        use nvwa_serve::{raise_nofile_limit, Frontend, Server, ServerConfig};
+        use nvwa_serve::{raise_nofile_limit, Server, ServerConfig};
         let proc_field = |key: &str| -> Option<u64> {
             let status = std::fs::read_to_string("/proc/self/status").ok()?;
             status
@@ -561,94 +557,67 @@ fn main() {
             .iter()
             .map(|r| r.seq.codes().to_vec())
             .collect();
-        let shared = std::sync::Arc::new(ReferenceIndex::build(&genome, 32));
-        for (tag, frontend) in [
-            ("threads", Frontend::Threads),
-            ("reactor", Frontend::Reactor),
-        ] {
-            // The threaded frontend pays one OS thread per parked socket
-            // and connect() degrades severely past a few thousand threads
-            // on a small host — cap its fleet so the scenario terminates.
-            // Growth is linear in connections either way; the recorded
-            // `idle_conns` makes the asymmetric fleets explicit.
-            let frontend_target = match frontend {
-                Frontend::Threads => idle_target.min(2_000),
-                Frontend::Reactor => idle_target,
-            };
-            if frontend_target < idle_target {
-                eprintln!(
-                    "serve_reactor_10k_idle: capping {tag} fleet at {frontend_target} \
-                     of {idle_target} idle connections (thread-per-connection cost)"
-                );
-            }
-            let server = Server::start(
-                std::sync::Arc::clone(&shared),
-                ServerConfig {
-                    workers: 2,
-                    frontend,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("idle scenario: server start");
-            let addr = server.local_addr().to_string();
-            let mut idle = Vec::with_capacity(frontend_target);
-            for i in 0..frontend_target {
-                match std::net::TcpStream::connect(&addr) {
-                    Ok(s) => idle.push(s),
-                    Err(e) => {
-                        eprintln!("serve_reactor_10k_idle: {tag}: connect {i} failed: {e}");
-                        break;
-                    }
+        let server = Server::start(
+            std::sync::Arc::new(ReferenceIndex::build(&genome, 32)),
+            ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("idle scenario: server start");
+        let addr = server.local_addr().to_string();
+        let mut idle = Vec::with_capacity(idle_target);
+        for i in 0..idle_target {
+            match std::net::TcpStream::connect(&addr) {
+                Ok(s) => idle.push(s),
+                Err(e) => {
+                    eprintln!("serve_reactor_10k_idle: connect {i} failed: {e}");
+                    break;
                 }
             }
-            // Let the frontend finish accepting/registering the fleet.
-            std::thread::sleep(std::time::Duration::from_millis(500));
-            let threads_with_idle = proc_field("Threads:").unwrap_or(0) as usize;
-            let vm_rss_kb_with_idle = proc_field("VmRSS:").unwrap_or(0);
-            let start = Instant::now();
-            let report = loadgen_run(
-                &addr,
-                &active_reads,
-                &LoadgenConfig {
-                    connections: 8,
-                    mode: ArrivalMode::Closed { window: 32 },
-                    ..LoadgenConfig::default()
-                },
-            )
-            .expect("idle scenario: loadgen");
-            let active_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert!(
-                report.is_lossless() && report.ok == active_reads.len() as u64,
-                "idle scenario ({tag}) must stay lossless around the parked fleet"
-            );
-            eprintln!(
-                "serve_reactor_10k_idle/{tag:8} idle={} threads={} rss_kb={} p99_ms={:.1}",
-                idle.len(),
-                threads_with_idle,
-                vm_rss_kb_with_idle,
-                report.latency.p99.unwrap_or(0.0) / 1e3
-            );
-            frontend_stats.push(FrontendStat {
-                frontend: tag,
-                idle_conns: idle.len(),
-                threads_with_idle,
-                vm_rss_kb_with_idle,
-                active_p99_ms: report.latency.p99.unwrap_or(0.0) / 1e3,
-                active_wall_ms,
-            });
-            // The active phase also lands in the ordinary scenario table
-            // (single run — the parked fleet is the expensive fixture).
-            records.push(Record {
-                name: match frontend {
-                    Frontend::Threads => "serve_idle_active_threads",
-                    Frontend::Reactor => "serve_idle_active_reactor",
-                },
-                threads: 2,
-                median_wall_ms: active_wall_ms,
-            });
-            drop(idle);
-            server.shutdown();
         }
+        // Let the reactor finish accepting/registering the fleet.
+        std::thread::sleep(std::time::Duration::from_millis(500));
+        let threads_with_idle = proc_field("Threads:").unwrap_or(0) as usize;
+        let vm_rss_kb_with_idle = proc_field("VmRSS:").unwrap_or(0);
+        let start = Instant::now();
+        let report = loadgen_run(
+            &addr,
+            &active_reads,
+            &LoadgenConfig {
+                connections: 8,
+                mode: ArrivalMode::Closed { window: 32 },
+                ..LoadgenConfig::default()
+            },
+        )
+        .expect("idle scenario: loadgen");
+        let active_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        assert!(
+            report.is_lossless() && report.ok == active_reads.len() as u64,
+            "idle scenario must stay lossless around the parked fleet"
+        );
+        let active_p99_ms = report.latency.p99.unwrap_or(0.0) / 1e3;
+        eprintln!(
+            "serve_reactor_10k_idle idle={} threads={threads_with_idle} \
+             rss_kb={vm_rss_kb_with_idle} p99_ms={active_p99_ms:.1}",
+            idle.len()
+        );
+        // The active phase also lands in the ordinary scenario table
+        // (single run — the parked fleet is the expensive fixture).
+        records.push(Record {
+            name: "serve_idle_active_reactor",
+            threads: 2,
+            median_wall_ms: active_wall_ms,
+        });
+        idle_stat = Some(IdleStat {
+            idle_conns: idle.len(),
+            threads_with_idle,
+            vm_rss_kb_with_idle,
+            active_p99_ms,
+            active_wall_ms,
+        });
+        drop(idle);
+        server.shutdown();
     }
 
     // --- serve_adaptive ------------------------------------------------
@@ -924,7 +893,7 @@ fn main() {
     // Each speedup is `slow / fast` of two recorded scenarios; pairs whose
     // scenarios were filtered out by --only are simply omitted.
     type SpeedupPair = (&'static str, (&'static str, usize), (&'static str, usize));
-    let pairs: [SpeedupPair; 10] = [
+    let pairs: [SpeedupPair; 9] = [
         (
             "workload_build_10k_8t_vs_1t",
             ("workload_build_10k", 1),
@@ -964,14 +933,6 @@ fn main() {
             "e2e_align_fast_vs_baseline_1t",
             ("e2e_align_baseline", 1),
             ("e2e_align", 1),
-        ),
-        // The reactor scenario's active-phase wall clocks — without this
-        // pair a `--only serve_reactor_10k_idle` run used to ship an
-        // empty `speedups` object (the BENCH_PR8 bug).
-        (
-            "serve_idle_active_threads_vs_reactor",
-            ("serve_idle_active_threads", 2),
-            ("serve_idle_active_reactor", 2),
         ),
         // The long-read fill contrast (PR 10): chain-bounded GACT tiling
         // vs the single-anchor full-matrix baseline.
@@ -1030,27 +991,17 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    if !frontend_stats.is_empty() {
-        json.push_str("  \"serve_reactor_10k_idle\": [\n");
-        for (i, s) in frontend_stats.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"frontend\": \"{}\", \"idle_conns\": {}, \"threads_with_idle\": {}, \
-                 \"vm_rss_kb_with_idle\": {}, \"active_p99_ms\": {:.3}, \
-                 \"active_wall_ms\": {:.3}}}{}\n",
-                s.frontend,
-                s.idle_conns,
-                s.threads_with_idle,
-                s.vm_rss_kb_with_idle,
-                s.active_p99_ms,
-                s.active_wall_ms,
-                if i + 1 < frontend_stats.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        json.push_str("  ],\n");
+    if let Some(s) = &idle_stat {
+        json.push_str(&format!(
+            "  \"serve_reactor_10k_idle\": [\n    {{\"frontend\": \"reactor\", \
+             \"idle_conns\": {}, \"threads_with_idle\": {}, \"vm_rss_kb_with_idle\": {}, \
+             \"active_p99_ms\": {:.3}, \"active_wall_ms\": {:.3}}}\n  ],\n",
+            s.idle_conns,
+            s.threads_with_idle,
+            s.vm_rss_kb_with_idle,
+            s.active_p99_ms,
+            s.active_wall_ms,
+        ));
     }
     if !adaptive_stats.is_empty() {
         json.push_str("  \"adaptive_batching\": [\n");

@@ -1,27 +1,25 @@
-//! Event-driven connection frontend: one thread, `poll(2)`, 10k+ sockets.
+//! The server's connection frontend: one thread, `poll(2)`, 10k+ sockets.
 //!
-//! The thread-per-connection frontend (`server.rs`) is simple and fast at
-//! hundreds of clients, but a million-user deployment holds most
-//! connections *idle* — and an idle connection must not cost a thread.
-//! This module replaces the acceptor + reader threads with a single
-//! **readiness reactor**:
+//! A million-user deployment holds most connections *idle*, and an idle
+//! connection must not cost a thread. One **readiness reactor** accepts,
+//! reads and writes every client socket:
 //!
 //! * every client socket is nonblocking and registered with `poll(2)`
 //!   (declared directly against libc, the same std-only shim pattern as
 //!   `signal.rs` — std already links libc on Unix);
 //! * a per-connection state machine reassembles length-prefixed frames
 //!   from partial reads and drains buffered responses on writability;
-//! * workers never touch sockets: they enqueue the encoded response on
-//!   the connection's output buffer ([`ReactorConn`]) and tickle the
-//!   reactor through a self-pipe waker, so the poll loop wakes and
-//!   flushes.
+//! * a worker writes its encoded response straight to the nonblocking
+//!   socket when nothing is queued ahead of it on the connection
+//!   ([`ReactorConn`]); whatever the socket does not take stays in the
+//!   connection's output buffer, and the worker tickles the reactor
+//!   through a self-pipe waker so the poll loop wakes and flushes it.
 //!
-//! Requests flow into exactly the same admission queue → batcher → worker
-//! pipeline as the threaded frontend (`dispatch_request` is shared code),
-//! so responses are bit-identical — the conformance suite pins the two
-//! frontends against each other. What changes is the cost model: N idle
-//! connections cost one thread and one `pollfd` each, not N parked reader
-//! threads.
+//! Each decoded frame goes to `dispatch_request`, the entry point of the
+//! admission queue → batcher → worker pipeline in `server.rs`; the
+//! conformance `diff` family pins those served answers to the offline
+//! aligner. N idle connections cost one thread in total and one `pollfd`
+//! each. Serving therefore needs a Unix host.
 //!
 //! ```text
 //!            ┌────────────────── reactor thread ──────────────────┐
@@ -147,11 +145,14 @@ impl Waker {
     }
 }
 
-/// Output side of one reactor connection: workers (and the dispatch path)
-/// enqueue encoded frames here; the reactor thread flushes them when the
-/// socket is writable. This is the reactor's [`ResponseSink`].
+/// One reactor connection as the workers see it: the socket plus an
+/// output buffer of encoded frames the socket has not yet taken, which
+/// the reactor thread flushes when the socket is writable. All writes
+/// happen under the `out` lock, so frames never interleave. This is the
+/// reactor's [`ResponseSink`].
 pub(crate) struct ReactorConn {
     id: u64,
+    stream: TcpStream,
     out: Mutex<OutBuf>,
     /// Requests dispatched minus responses enqueued — the connection is
     /// retired only when this reaches zero (every request is answered
@@ -170,16 +171,31 @@ impl ResponseSink for ReactorConn {
     fn send(&self, doc: &JsonValue) -> std::io::Result<()> {
         let mut out = self.out.lock().unwrap();
         // One response per dispatched request, success or not.
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        let settled = self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1;
         if out.dead {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
                 "connection closed",
             ));
         }
+        let queued = !out.buf.is_empty();
         write_frame(&mut out.buf, doc)?;
+        // Nothing queued ahead of this frame: hand it to the socket now
+        // and skip the reactor round trip. A short write, `WouldBlock` or
+        // an error leaves the bytes for the reactor's flush, which also
+        // owns error accounting.
+        if !queued {
+            if let Ok(n) = (&self.stream).write(&out.buf) {
+                out.buf.drain(..n);
+            }
+        }
+        let pending = !out.buf.is_empty();
         drop(out);
-        self.waker.wake();
+        // Wake the reactor to flush what is left, or to retire a
+        // connection whose last outstanding response just went out.
+        if pending || settled {
+            self.waker.wake();
+        }
         Ok(())
     }
 
@@ -188,11 +204,10 @@ impl ResponseSink for ReactorConn {
     }
 }
 
-/// Per-connection reactor state: the socket, its frame-reassembly buffer
-/// and lifecycle flags. The output buffer lives in the shared
-/// [`ReactorConn`] so worker threads can reach it.
+/// Per-connection reactor state: the frame-reassembly buffer and
+/// lifecycle flags. The socket and output buffer live in the shared
+/// [`ReactorConn`] so worker threads can reach them.
 struct Conn {
-    stream: TcpStream,
     sink: Arc<ReactorConn>,
     inbuf: Vec<u8>,
     /// Clean EOF (or fatal parse error) on the read side; the connection
@@ -216,7 +231,7 @@ impl Conn {
     fn flush(&mut self, metrics: &crate::metrics::ServeMetrics) {
         let mut out = self.sink.out.lock().unwrap();
         while !out.buf.is_empty() {
-            match self.stream.write(&out.buf) {
+            match (&self.sink.stream).write(&out.buf) {
                 Ok(0) => break,
                 Ok(n) => {
                     out.buf.drain(..n);
@@ -244,7 +259,7 @@ impl Conn {
 }
 
 /// How long the poll loop sleeps when nothing is ready (also the shutdown
-/// observation latency, matching the threaded frontend's tick).
+/// observation latency).
 const POLL_TIMEOUT_MS: i32 = 20;
 
 /// Hard ceiling on the post-shutdown flush (a stuck client must not wedge
@@ -297,7 +312,7 @@ pub(crate) fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
                 events |= POLLOUT;
             }
             pollfds.push(PollFd {
-                fd: conn.stream.as_raw_fd(),
+                fd: conn.sink.stream.as_raw_fd(),
                 events,
                 revents: 0,
             });
@@ -340,8 +355,9 @@ pub(crate) fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
                 conn.flush(&shared.metrics);
             }
         }
-        // Newly accepted connections may carry data before their first
-        // poll round; they are picked up next iteration (≤ 20 ms).
+        // Newly accepted connections have no revents this round (`zip`
+        // stops at the snapshot); the next iteration polls them, and a
+        // socket with data already waiting returns from poll at once.
         conns.retain(|c| !c.retired());
     }
 }
@@ -363,9 +379,9 @@ fn accept_ready(
                 let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.connection_accepted();
                 conns.push(Conn {
-                    stream,
                     sink: Arc::new(ReactorConn {
                         id,
+                        stream,
                         out: Mutex::new(OutBuf {
                             buf: Vec::new(),
                             dead: false,
@@ -388,7 +404,7 @@ fn accept_ready(
 /// Reads whatever the socket has, then dispatches every complete frame.
 fn service_read(conn: &mut Conn, shared: &Arc<Shared>, scratch: &mut [u8]) {
     loop {
-        match conn.stream.read(scratch) {
+        match (&conn.sink.stream).read(scratch) {
             Ok(0) => {
                 conn.read_closed = true;
                 break;
@@ -439,8 +455,7 @@ fn service_read(conn: &mut Conn, shared: &Arc<Shared>, scratch: &mut [u8]) {
 }
 
 /// Frame-level failure: answer `error` and close once it is flushed —
-/// framing may be lost, exactly like the threaded frontend dropping the
-/// connection.
+/// framing may be lost, so the connection cannot be trusted further.
 fn protocol_failure(conn: &mut Conn, shared: &Arc<Shared>, msg: &str) {
     shared.metrics.protocol_error();
     let resp = AlignResponse::failure(0, Status::Error, msg);
@@ -455,8 +470,9 @@ fn protocol_failure(conn: &mut Conn, shared: &Arc<Shared>, msg: &str) {
 fn final_flush(conns: &mut [Conn], shared: &Arc<Shared>) {
     let deadline = Instant::now() + FINAL_FLUSH_BUDGET;
     for conn in conns.iter_mut() {
-        let _ = conn.stream.set_nonblocking(false);
+        let _ = conn.sink.stream.set_nonblocking(false);
         let _ = conn
+            .sink
             .stream
             .set_write_timeout(Some(Duration::from_millis(200)));
         while conn.pending_out() && !conn.dead && Instant::now() < deadline {

@@ -487,7 +487,7 @@ pub(crate) fn try_admit_counted(
 
 /// The shard-routing hash: the client's region hint when present,
 /// otherwise an FNV-1a hash of the read codes. Pure, so routing is
-/// deterministic across runs and across the threaded/reactor frontends.
+/// deterministic across runs and servers.
 pub fn region_hash(region: Option<u64>, codes: &[u8]) -> u64 {
     match region {
         Some(r) => {

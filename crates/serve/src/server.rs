@@ -3,18 +3,18 @@
 //! Thread topology (all std, one `Arc<Shared>` of queues + metrics):
 //!
 //! ```text
-//! frontend ──▶ route (tenant, shard) ──▶ admission queue ──▶ batcher ──▶ batch
-//!     ▲          try_admit / try_push        (bounded)     fill-or-timeout queue
-//!     │                                                       (per engine)  │
-//!     └───────────────── responses (per-conn sink) ◀────── workers (pool) ◀─┘
+//! reactor ──▶ route (tenant, shard) ──▶ admission queue ──▶ batcher ──▶ batch
+//!    ▲          try_admit / try_push        (bounded)     fill-or-timeout queue
+//!    │                                                       (per engine)  │
+//!    └───────────────── responses (per-conn sink) ◀────── workers (pool) ◀─┘
 //! ```
 //!
-//! * **Two frontends, one pipeline**: the thread-per-connection frontend
-//!   (an acceptor plus one reader thread per socket) and the poll-based
-//!   reactor (`reactor.rs`, one thread for every socket) feed the same
-//!   `dispatch_request` → admission → batcher → worker path through the
-//!   [`ResponseSink`] trait, so responses are bit-identical across
-//!   frontends — only the idle-connection cost model differs.
+//! * **One connection thread**: the `poll(2)` reactor (`reactor.rs`,
+//!   Unix only) accepts and reads every socket and hands each decoded
+//!   frame to `dispatch_request` → admission → batcher → workers. Workers
+//!   answer through the [`ResponseSink`] trait, so this module never
+//!   names the reactor's connection type. An idle connection costs a
+//!   `pollfd`, not a thread.
 //! * **Multi-tenant engines**: each (tenant, shard) pair owns an *engine*
 //!   — its own admission queue, batcher and worker pool over a cheap
 //!   `Arc<ReferenceIndex>` clone from the [`crate::registry`]. Requests
@@ -23,7 +23,7 @@
 //!   touched, and a killed shard degrades only its own traffic (routing
 //!   probes past dead shards).
 //! * **Backpressure is explicit and bounded**: every admission queue has
-//!   a hard capacity; when full, the frontend answers immediately with a
+//!   a hard capacity; when full, the reactor answers immediately with a
 //!   `shed` response instead of buffering — memory use is bounded by
 //!   `engines × (queue_capacity + workers × max_batch)` requests no
 //!   matter how fast clients push.
@@ -35,8 +35,7 @@
 //!   formed batches, answers everything, then joins all threads — an
 //!   admitted request is never dropped.
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,8 +53,7 @@ use crate::controller::{Controller, ControllerConfig};
 use crate::flight::FlightEventKind;
 use crate::metrics::{ObservabilityConfig, ServeMetrics};
 use crate::protocol::{
-    write_frame, AlignResponse, ClassifyResult, Mode, Request, Status, TenantScore, WireAlignment,
-    MAX_FRAME_BYTES,
+    AlignResponse, ClassifyResult, Mode, Request, Status, TenantScore, WireAlignment,
 };
 use crate::queue::{BoundedQueue, Popped, PushError};
 use crate::registry::{
@@ -65,27 +63,6 @@ use crate::registry::{
 
 /// How often blocked loops re-check the shutdown flags.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
-
-/// Which connection frontend accepts and reads client sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Frontend {
-    /// One reader thread per connection (simple; fine up to ~hundreds).
-    Threads,
-    /// One poll-based reactor thread for every connection
-    /// (`reactor.rs`; 10k+ idle connections cost no extra threads).
-    Reactor,
-}
-
-impl Frontend {
-    /// Parses the CLI name.
-    pub fn parse(s: &str) -> Option<Frontend> {
-        match s {
-            "threads" => Some(Frontend::Threads),
-            "reactor" => Some(Frontend::Reactor),
-            _ => None,
-        }
-    }
-}
 
 /// One tenant of a multi-tenant server (see [`Server::start_multi_tenant`]).
 #[derive(Debug, Clone)]
@@ -120,8 +97,6 @@ impl TenantServeSpec {
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Connection frontend.
-    pub frontend: Frontend,
     /// Admission-queue capacity per engine — the backpressure bound.
     pub queue_capacity: usize,
     /// Worker threads per engine executing batches.
@@ -175,7 +150,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            frontend: Frontend::Threads,
             queue_capacity: 1024,
             workers: nvwa_sim::par::current_threads(),
             batch: BatcherConfig::default(),
@@ -196,9 +170,9 @@ impl Default for ServerConfig {
 }
 
 /// The write half of a connection, shared by whatever threads answer on
-/// it. Implemented by the threaded frontend's [`ConnWriter`] (a mutexed
-/// socket) and the reactor's `ReactorConn` (a buffered sink the poll loop
-/// flushes) — the pipeline never knows which.
+/// it. Its one implementation is the reactor's `ReactorConn`, a buffered
+/// sink the poll loop flushes; the trait keeps the Unix-only reactor
+/// types out of this module.
 pub(crate) trait ResponseSink: Send + Sync {
     /// Writes one response frame.
     fn send(&self, doc: &JsonValue) -> std::io::Result<()>;
@@ -222,25 +196,6 @@ struct PendingRead {
     picked_at: Option<Instant>,
     /// Quota slot held until the response is written (RAII, panic-safe).
     _guard: Option<AdmitGuard>,
-}
-
-/// The threaded frontend's [`ResponseSink`]: frames are written under the
-/// mutex so responses never interleave.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
-    /// Accept-order connection id.
-    id: u64,
-}
-
-impl ResponseSink for ConnWriter {
-    fn send(&self, doc: &JsonValue) -> std::io::Result<()> {
-        let mut stream = self.stream.lock().unwrap();
-        write_frame(&mut *stream, doc)
-    }
-
-    fn conn_id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// One (tenant, shard) execution pipeline: admission queue → batcher →
@@ -298,9 +253,9 @@ pub(crate) struct Shared {
     trace_seq: AtomicU64,
     /// Accept-order connection id mint.
     pub(crate) conn_seq: AtomicU64,
-    /// Stop admitting: frontends shed, the acceptor exits.
+    /// Stop admitting: new requests shed, the reactor stops accepting.
     pub(crate) draining: AtomicBool,
-    /// Everything drained: frontends exit.
+    /// Everything drained: the reactor flushes and exits.
     pub(crate) closed: AtomicBool,
     /// A client sent `shutdown`; the owner should call [`Server::shutdown`].
     shutdown_requested: AtomicBool,
@@ -311,11 +266,10 @@ pub(crate) struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    /// The acceptor (threaded frontend) or the reactor thread.
-    frontend: Option<std::thread::JoinHandle<()>>,
+    /// The reactor thread: accepts, reads and flushes every connection.
+    reactor: Option<std::thread::JoinHandle<()>>,
     batchers: Vec<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     controller: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -449,7 +403,6 @@ impl Server {
                 in_flight: Arc::new(AtomicU64::new(0)),
             });
         }
-        let frontend_kind = config.frontend;
         let controller = config
             .adaptive
             .clone()
@@ -476,30 +429,7 @@ impl Server {
             closed: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
         });
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-
-        let frontend = match frontend_kind {
-            Frontend::Threads => {
-                let shared = Arc::clone(&shared);
-                let readers = Arc::clone(&readers);
-                std::thread::spawn(move || accept_loop(listener, shared, readers))
-            }
-            Frontend::Reactor => {
-                #[cfg(unix)]
-                {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || crate::reactor::reactor_loop(listener, shared))
-                }
-                #[cfg(not(unix))]
-                {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Unsupported,
-                        "the reactor frontend needs poll(2)",
-                    ));
-                }
-            }
-        };
+        let reactor = spawn_reactor(listener, Arc::clone(&shared))?;
         let batchers = (0..shared.engines.len())
             .map(|e| {
                 let shared = Arc::clone(&shared);
@@ -525,10 +455,9 @@ impl Server {
         Ok(Server {
             shared,
             local_addr,
-            frontend: Some(frontend),
+            reactor: Some(reactor),
             batchers,
             workers: worker_handles,
-            readers,
             controller: controller_thread,
         })
     }
@@ -604,11 +533,7 @@ impl Server {
             let _ = h.join();
         }
         self.shared.closed.store(true, Ordering::SeqCst);
-        if let Some(h) = self.frontend.take() {
-            let _ = h.join();
-        }
-        let readers = std::mem::take(&mut *self.readers.lock().unwrap());
-        for h in readers {
+        if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
         // The hub outlives the server so callers can snapshot post-drain.
@@ -616,121 +541,31 @@ impl Server {
     }
 }
 
-fn accept_loop(
+/// Starts the connection thread. The reactor needs `poll(2)`, so other
+/// targets refuse to serve.
+#[cfg(unix)]
+fn spawn_reactor(
     listener: TcpListener,
     shared: Arc<Shared>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.draining.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-                let writer: Arc<dyn ResponseSink> = match stream.try_clone() {
-                    Ok(w) => Arc::new(ConnWriter {
-                        stream: Mutex::new(w),
-                        id: shared.conn_seq.fetch_add(1, Ordering::Relaxed),
-                    }),
-                    Err(_) => continue,
-                };
-                shared.metrics.connection_accepted();
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || reader_loop(shared, stream, writer));
-                readers.lock().unwrap().push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
+) -> std::io::Result<std::thread::JoinHandle<()>> {
+    Ok(std::thread::spawn(move || {
+        crate::reactor::reactor_loop(listener, shared)
+    }))
 }
 
-/// Reads `buf` fully, riding out read-timeout ticks (they exist so the
-/// loop can observe shutdown). Returns `false` on EOF before any byte of
-/// this frame, errors on EOF mid-frame.
-fn read_patient(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-    allow_eof: bool,
-) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shared.closed.load(Ordering::Relaxed) {
-            return Ok(false);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if allow_eof && filled == 0 {
-                    return Ok(false);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
+#[cfg(not(unix))]
+fn spawn_reactor(
+    _listener: TcpListener,
+    _shared: Arc<Shared>,
+) -> std::io::Result<std::thread::JoinHandle<()>> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "serving needs poll(2), which only Unix hosts provide",
+    ))
 }
 
-fn read_request_frame(
-    stream: &mut TcpStream,
-    shared: &Shared,
-) -> std::io::Result<Option<JsonValue>> {
-    let mut len_buf = [0u8; 4];
-    if !read_patient(stream, &mut len_buf, shared, true)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    if !read_patient(stream, &mut body, shared, false)? {
-        return Ok(None);
-    }
-    let text = String::from_utf8(body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    JsonValue::parse(&text)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, writer: Arc<dyn ResponseSink>) {
-    loop {
-        let doc = match read_request_frame(&mut stream, &shared) {
-            Ok(Some(doc)) => doc,
-            Ok(None) => return,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                shared.metrics.protocol_error();
-                let resp = AlignResponse::failure(0, Status::Error, &e.to_string());
-                let _ = writer.send(&resp.encode());
-                return; // framing may be lost — drop the connection
-            }
-            Err(_) => return,
-        };
-        dispatch_request(&shared, &writer, &doc);
-    }
-}
-
-/// Decodes and executes one request document — the single entry point
-/// shared by both frontends, so their observable behavior cannot diverge.
+/// Decodes and executes one request document — the reactor's single
+/// entry point into the pipeline.
 pub(crate) fn dispatch_request(
     shared: &Arc<Shared>,
     sink: &Arc<dyn ResponseSink>,

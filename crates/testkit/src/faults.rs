@@ -10,7 +10,7 @@
 //!    `duplicates == 0`) and the statuses conserve
 //!    (`received == ok + unmapped + shed + deadline + errors`).
 //! 2. **Clean drain** — [`Server::shutdown`] returns (every thread
-//!    joins); no attack may wedge a reader, the batcher or a worker.
+//!    joins); no attack may wedge the reactor, the batcher or a worker.
 //!
 //! Plans are seeded and self-contained; nothing here sleeps for
 //! correctness (the queue-storm plan uses the server's own
@@ -216,6 +216,15 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
             ServerConfig {
                 workers: 1,
                 queue_capacity: 2,
+                // Batches of 4 cap the pipeline at 21 requests (queue 2,
+                // bin 3, one batch blocked in the hand-off, two queued and
+                // one executing), far below the 240 in flight, so the
+                // storm sheds by construction however fast the reactor
+                // dispatches.
+                batch: BatcherConfig {
+                    max_batch: 4,
+                    ..BatcherConfig::default()
+                },
                 worker_delay: Some(Duration::from_millis(5)),
                 ..ServerConfig::default()
             },
@@ -357,7 +366,7 @@ pub fn run_fault_plan(plan: &FaultPlan) -> Result<String, String> {
         FaultKind::QueueStorm => {
             if report.shed == 0 {
                 return Err(
-                    "queue_storm: nothing shed despite queue_capacity 2 and 256 in flight"
+                    "queue_storm: nothing shed despite queue_capacity 2, max_batch 4 and 240 in flight"
                         .to_string(),
                 );
             }

@@ -24,11 +24,12 @@
 //!   disconnects, slow-loris dribble, worker panic at batch N,
 //!   queue-full storms) with the invariant that every accepted request
 //!   is answered exactly once and the server drains cleanly.
-//! * [`tenancy`] — **multi-tenant and reactor conformance**: shard-routing
+//! * [`tenancy`] — **multi-tenant conformance**: shard-routing
 //!   determinism, two-tenant serving bit-identical to per-species offline
-//!   aligners, unknown-tenant rejection, and the threaded-vs-reactor
-//!   frontend differential (the shard-kill degradation plan lives in
-//!   [`faults`]).
+//!   aligners, and unknown-tenant rejection (the shard-kill degradation
+//!   plan lives in [`faults`]). Every serving check, here and in
+//!   [`diff`] and [`faults`], runs through the server's one connection
+//!   frontend, the `poll(2)` reactor.
 //! * [`controller`] — **adaptive-batching controller conformance**: the
 //!   same telemetry stream replayed at 1/2/8 shards must produce a
 //!   bit-identical decision log (DESIGN.md §15), and a stuck window

@@ -13,12 +13,15 @@
 //!                 [--batch-ceil N] [--batch-wait-floor-us U] [--batch-wait-ceil-us U]
 //!                 [--controller-log-out c.json] [--deadline-ms D]
 //!                 [--backend sw|hil] [--metrics-out m.json] [--trace-out t.json]
-//!                 [--frontend threads|reactor] [--tenant KEY[:SHARDS[:QUOTA]]]...
-//!                 [--tenant-scale F] [--registry-budget BYTES]
+//!                 [--tenant KEY[:SHARDS[:QUOTA]]]... [--tenant-scale F]
+//!                 [--registry-budget BYTES]
 //! nvwa conformance [--seed S]... [--seed-from-ci] [--cases N] [--serve-reads N]
-//!                 [--families diff,extension,invariants,faults,registry,reactor,controller]
+//!                 [--families diff,extension,invariants,faults,registry,controller,long_read]
 //!                 [--family NAME] [--repro-dir DIR] [--threads N]
 //! ```
+//!
+//! `serve` reads every client socket on one `poll(2)` reactor thread, so
+//! it needs a Unix host; elsewhere it exits with an `Unsupported` error.
 //!
 //! `serve --batch-adaptive` starts the online batching controller
 //! (DESIGN.md §15): on every `--control-tick-ms` it reads the windowed
@@ -97,11 +100,11 @@ fn usage() -> ExitCode {
     eprintln!("                   [--backend sw|hil] [--metrics-out m.json] [--trace-out t.json]");
     eprintln!("                   [--span-log-out s.json] [--flight-dump DIR] [--flight-cap N]");
     eprintln!("                   [--slo-window-ms W] [--slo-step-ms S] [--shed-storm N]");
-    eprintln!("                   [--frontend threads|reactor] [--tenant KEY[:SHARDS[:QUOTA]]]...");
-    eprintln!("                   [--tenant-scale F] [--registry-budget BYTES]");
+    eprintln!("                   [--tenant KEY[:SHARDS[:QUOTA]]]... [--tenant-scale F]");
+    eprintln!("                   [--registry-budget BYTES]");
     eprintln!("  nvwa conformance [--seed S]... [--seed-from-ci] [--cases N] [--serve-reads N]");
     eprintln!("                   [--families diff,extension,invariants,faults,registry,");
-    eprintln!("                    reactor,controller]");
+    eprintln!("                    controller,long_read]");
     eprintln!("                   [--family NAME] [--repro-dir DIR]");
     ExitCode::FAILURE
 }
@@ -317,7 +320,7 @@ fn conformance(args: &[String]) -> ExitCode {
                 None => {
                     eprintln!(
                         "nvwa: unknown family {item:?} (want diff, extension, invariants, \
-                         faults, registry, reactor, controller, long_read)"
+                         faults, registry, controller, long_read)"
                     );
                     return usage();
                 }
@@ -330,7 +333,7 @@ fn conformance(args: &[String]) -> ExitCode {
             None => {
                 eprintln!(
                     "nvwa: --family wants diff, extension, invariants, faults, registry, \
-                     reactor, controller or long_read"
+                     controller or long_read"
                 );
                 return usage();
             }
@@ -412,22 +415,12 @@ fn parse_tenant_spec(spec: &str, scale: f64) -> Result<nvwa::serve::TenantServeS
 fn serve(args: &[String]) -> ExitCode {
     use nvwa::serve::loadgen::ref_params;
     use nvwa::serve::{
-        signal, BackendKind, BatcherConfig, ControllerConfig, Frontend, ObservabilityConfig,
-        Server, ServerConfig,
+        signal, BackendKind, BatcherConfig, ControllerConfig, ObservabilityConfig, Server,
+        ServerConfig,
     };
     use std::sync::Arc;
     use std::time::Duration;
 
-    let frontend = match flag_value(args, "--frontend").as_deref() {
-        None => Frontend::Threads,
-        Some(name) => match Frontend::parse(name) {
-            Some(f) => f,
-            None => {
-                eprintln!("nvwa: unknown frontend {name:?} (want threads or reactor)");
-                return usage();
-            }
-        },
-    };
     // `--tenant KEY[:SHARDS[:QUOTA]]` (repeatable) switches to the
     // multi-tenant registry: each tenant's reference is synthesized from
     // its species profile at `--tenant-scale` and `--ref*` flags are
@@ -507,7 +500,6 @@ fn serve(args: &[String]) -> ExitCode {
     };
     let config = ServerConfig {
         addr: flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        frontend,
         tenants: tenants.clone(),
         registry_budget: flag_value(args, "--registry-budget").and_then(|v| v.parse().ok()),
         queue_capacity: flag_u64(args, "--queue-cap", 1024) as usize,

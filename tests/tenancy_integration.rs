@@ -1,150 +1,19 @@
-//! End-to-end tests of the multi-tenant registry and the poll-reactor
-//! frontend over real sockets (ISSUE PR8).
+//! End-to-end tests of the multi-tenant registry over real sockets.
 //!
-//! The acceptance bar: the reactor answers a ≥10k-read closed-loop run
-//! bit-identically to the thread-per-connection frontend; hundreds of
-//! idle connections do not grow the thread count; a tenant's admission
-//! quota sheds with the distinct `quota` status at exactly the limit,
-//! with exactly-once accounting that survives the storm; and killing a
-//! shard degrades only the tenant that owned it.
+//! The acceptance bar: a tenant's admission quota sheds with the
+//! distinct `quota` status at exactly the limit, with exactly-once
+//! accounting that survives the storm; and killing a shard degrades only
+//! the tenant that owned it. The reactor's idle-connection cost is
+//! pinned in `tests/reactor_idle_fleet.rs`, a binary of its own so no
+//! other server shares its process-wide thread count.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use nvwa::align::pipeline::ReferenceIndex;
 use nvwa::genome::species::Species;
-use nvwa::genome::ReferenceGenome;
-use nvwa::serve::loadgen::{self, ref_params, ArrivalMode, LoadgenConfig, TenantRead};
+use nvwa::serve::loadgen::{self, ArrivalMode, LoadgenConfig, TenantRead};
 use nvwa::serve::protocol::Mode;
-use nvwa::serve::{Frontend, Server, ServerConfig, TenantServeSpec};
+use nvwa::serve::{Server, ServerConfig, TenantServeSpec};
 use nvwa::telemetry::snapshot::validate_loadgen_report;
-
-const REF_LEN: usize = 20_000;
-const REF_SEED: u64 = 5;
-
-fn shared_index() -> Arc<ReferenceIndex> {
-    let genome = ReferenceGenome::synthesize(&ref_params(REF_LEN), REF_SEED);
-    Arc::new(ReferenceIndex::build(&genome, 32))
-}
-
-/// The tentpole differential at acceptance scale: 10k reads closed-loop
-/// through both frontends; every (status, alignment) pair must match.
-/// Batch sizes are scheduling and deliberately excluded.
-#[test]
-fn reactor_answers_10k_reads_bit_identically_to_threads() {
-    if !cfg!(unix) {
-        return; // the poll reactor is unix-only
-    }
-    let index = shared_index();
-    let reads = loadgen::generate_reads(&ref_params(REF_LEN), REF_SEED, 23, 10_000);
-    let mut rounds = Vec::new();
-    for frontend in [Frontend::Threads, Frontend::Reactor] {
-        let server = Server::start(
-            Arc::clone(&index),
-            ServerConfig {
-                workers: 2,
-                frontend,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("server start");
-        let addr = server.local_addr().to_string();
-        let report = loadgen::run(
-            &addr,
-            &reads,
-            &LoadgenConfig {
-                connections: 8,
-                mode: ArrivalMode::Closed { window: 32 },
-                collect_responses: true,
-                ..LoadgenConfig::default()
-            },
-        )
-        .expect("loadgen");
-        server.shutdown();
-        assert!(
-            report.is_lossless(),
-            "{frontend:?} lost/duplicated responses"
-        );
-        assert_eq!(report.ok, reads.len() as u64, "{frontend:?} not all ok");
-        rounds.push(report.responses);
-    }
-    let (threaded, reactor) = (&rounds[0], &rounds[1]);
-    for id in 0..reads.len() as u64 {
-        let a = threaded.get(&id).expect("threaded response");
-        let b = reactor.get(&id).expect("reactor response");
-        assert_eq!(a.status, b.status, "read {id} status");
-        assert_eq!(a.alignment, b.alignment, "read {id} alignment");
-    }
-}
-
-fn current_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// Idle connections on the reactor cost a registered pollfd, not a
-/// thread: parking hundreds of silent sockets must not grow the process
-/// thread count, and the server must keep answering around them.
-#[test]
-fn reactor_parks_idle_connections_without_thread_growth() {
-    if !cfg!(unix) {
-        return;
-    }
-    let Some(before) = current_thread_count() else {
-        return; // no /proc: nothing to measure
-    };
-    let index = shared_index();
-    let server = Server::start(
-        Arc::clone(&index),
-        ServerConfig {
-            workers: 2,
-            frontend: Frontend::Reactor,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server start");
-    let addr = server.local_addr().to_string();
-
-    let idle: Vec<std::net::TcpStream> = (0..400)
-        .map(|i| {
-            std::net::TcpStream::connect(&addr).unwrap_or_else(|e| panic!("idle connect {i}: {e}"))
-        })
-        .collect();
-    // Give the reactor a beat to accept and register everything.
-    std::thread::sleep(Duration::from_millis(200));
-    let during = current_thread_count().expect("/proc readable");
-    // Thread-per-connection would add ~400 here; the reactor adds none.
-    // Loadgen below and test-harness noise get a generous allowance.
-    assert!(
-        during <= before + 16,
-        "thread count grew {before} -> {during} with 400 idle connections"
-    );
-
-    // The server still answers fresh traffic around the parked sockets.
-    let reads = loadgen::generate_reads(&ref_params(REF_LEN), REF_SEED, 29, 200);
-    let report = loadgen::run(
-        &addr,
-        &reads,
-        &LoadgenConfig {
-            connections: 4,
-            mode: ArrivalMode::Closed { window: 16 },
-            ..LoadgenConfig::default()
-        },
-    )
-    .expect("loadgen");
-    assert!(report.is_lossless());
-    assert_eq!(report.ok, 200);
-    drop(idle);
-    let metrics = server.shutdown();
-    assert!(
-        metrics.counter("serve.connections_accepted") >= 404,
-        "reactor accepted the idle sockets"
-    );
-}
 
 /// Over-the-wire quota boundary: a tenant with quota Q under a slow
 /// worker and an open-loop storm sheds with the `quota` status, every
